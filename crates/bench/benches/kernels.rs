@@ -1,14 +1,15 @@
-//! Criterion benchmark of the kernel layer (ISSUE-10): dispatched word/SIMD pack and
+//! Criterion benchmark of the kernel layer: dispatched word/SIMD pack and
 //! unpack vs the scalar reference at each packed bit width, and the fused packed-row
 //! attention decode vs the forced-scalar materializing pipeline.
 //!
 //! The `--json <path>` mode replaces the criterion run with deterministic hand-timed
 //! sweeps (best-of-N over fixed iteration counts) and writes one throughput entry per
-//! label — `pack_4bit`, `unpack_6bit`, `fused_attention_decode`, ... — each carrying the
-//! dispatched `throughput`, the `scalar_throughput` reference, and their ratio. The
-//! committed `BENCH_kernels.json` baseline and the CI artifact both come from here;
-//! `bench_gate` compares the `throughput` field per label at the same -15% tolerance as
-//! the serving snapshot.
+//! label — `pack_4bit`, `unpack_6bit`, `encode_mxfp4`, `fused_attention_decode`, ... —
+//! each carrying the dispatched `throughput`, the `scalar_throughput` reference, and
+//! their ratio. The committed `BENCH_kernels.json` baseline and the CI artifact both come
+//! from here; `bench_gate` compares the `throughput` field of every baseline label at the
+//! same -15% tolerance as the serving snapshot (the encode labels are not in the
+//! baseline, so they are reported but not gated).
 
 use std::time::Instant;
 
@@ -17,10 +18,15 @@ use mx_formats::kernels::{
     active_backend, force_scalar, pack_codes_into, pack_codes_into_scalar, packed_len, unpack_codes_into,
     unpack_codes_into_scalar,
 };
+use mx_formats::layout::RowCodec;
+use mx_formats::QuantScheme;
 use mx_llm::{ModelConfig, ModelQuantConfig, ServingEngine, SubmitOptions, TransformerModel};
 
 /// Codes per pack/unpack call: large enough that the SIMD prefix dominates the tail.
 const CODES: usize = 1 << 16;
+
+/// Elements per encode-row call (a few KV rows' worth).
+const ENCODE_ROW: usize = 4096;
 
 /// The bit widths the packed KV/weight rows actually use (MXFP4/MXFP6/MXFP8 families).
 const WIDTHS: [u32; 3] = [4, 6, 8];
@@ -112,7 +118,8 @@ fn best_seconds(mut f: impl FnMut(), iters: usize, reps: usize) -> f64 {
 }
 
 /// The `--json` snapshot workload: per-width pack/unpack throughput (dispatched vs
-/// scalar, codes/sec) plus the fused-vs-materializing paged decode (tokens/sec).
+/// scalar, codes/sec), MXFP4/MXFP4+ row encode (integer vs reference encoder,
+/// elements/sec) and the fused-vs-materializing paged decode (tokens/sec).
 fn kernels_snapshot() -> String {
     let mut entries = Vec::new();
     println!("kernel snapshot: dispatch backend `{}`", active_backend().name());
@@ -143,6 +150,26 @@ fn kernels_snapshot() -> String {
             "kernels {bits}-bit: pack {:.0}x scalar, unpack {:.0}x scalar",
             pack_scalar / pack,
             unpack_scalar / unpack
+        );
+    }
+
+    // The f32 -> code encode (integer bit-pattern encoder) vs the forced-scalar
+    // log2/powi reference, through the packed-row encoder of the KV cache. Reported in
+    // the snapshot only; the committed baseline does not gate these labels.
+    let row: Vec<f32> = (0..ENCODE_ROW).map(|i| (((i * 2_654_435_761) % 2001) as f32 / 1000.0 - 1.0).powi(3)).collect();
+    for (label, scheme) in [("encode_mxfp4", QuantScheme::mxfp4()), ("encode_mxfp4plus", QuantScheme::mxfp4_plus())] {
+        let codec = RowCodec::for_scheme(scheme);
+        let mut packed = vec![0u8; codec.packed_bytes(row.len())];
+        let fast = best_seconds(|| codec.pack_row_into(&row, &mut packed), 64, 5);
+        force_scalar(true);
+        let reference = best_seconds(|| codec.pack_row_into(&row, &mut packed), 8, 5);
+        force_scalar(false);
+        let per_sec = |s: f64| ENCODE_ROW as f64 / s;
+        entries.push(mx_bench::snapshot::kernel_entry_json(label, "elements", per_sec(fast), per_sec(reference)));
+        println!(
+            "{label}: {:.1} ns/element, {:.1}x the reference encoder",
+            fast * 1e9 / ENCODE_ROW as f64,
+            reference / fast
         );
     }
 

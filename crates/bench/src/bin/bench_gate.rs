@@ -6,7 +6,10 @@
 //! `tokens_per_sec_wall` for serving entries, `throughput` for kernel entries — drops
 //! more than the given tolerance below the baseline, or if a baseline label is missing
 //! from the snapshot. Faster-than-baseline entries always pass — the gate guards
-//! regressions, not noise in the lucky direction.
+//! regressions, not noise in the lucky direction. Labels present only in the fresh
+//! snapshot are not gated. Each line prints the entry's own `unit` (serving entries,
+//! which carry none, are tokens per second) and the failure message names the
+//! snapshot's `bench` kind.
 //!
 //! Usage: `bench_gate <baseline.json> <fresh.json> [tolerance]` (tolerance is a
 //! fraction, default 0.15 = -15%).
@@ -19,6 +22,18 @@
 
 use std::process::ExitCode;
 
+/// The unit of serving entries, whose throughput key `tokens_per_sec_wall` has no
+/// `unit` field beside it.
+const SERVING_UNIT: &str = "tokens_per_sec";
+
+/// One gated snapshot entry.
+#[derive(Debug, Clone, PartialEq)]
+struct Entry {
+    label: String,
+    throughput: f64,
+    unit: String,
+}
+
 /// Reads the number following `needle` within `scope`, if present.
 fn field_value(scope: &str, needle: &str) -> Option<f64> {
     let num = &scope[scope.find(needle)? + needle.len()..];
@@ -26,9 +41,21 @@ fn field_value(scope: &str, needle: &str) -> Option<f64> {
     num[..end].trim().parse::<f64>().ok()
 }
 
-/// Extracts `(label, throughput)` pairs from a snapshot JSON string: the serving key
-/// `tokens_per_sec_wall` when present, else the kernel key `throughput`.
-fn throughput_entries(json: &str) -> Vec<(String, f64)> {
+/// Reads the string following `needle` (which ends in the opening quote) within `scope`.
+fn field_str<'a>(scope: &'a str, needle: &str) -> Option<&'a str> {
+    let text = &scope[scope.find(needle)? + needle.len()..];
+    Some(&text[..text.find('"')?])
+}
+
+/// The snapshot's `bench` kind (`kv_paging_serving`, `kernels`, ...), for messages.
+fn snapshot_kind(json: &str) -> &str {
+    field_str(json, "\"bench\":\"").unwrap_or("unknown")
+}
+
+/// Extracts the labelled throughput entries from a snapshot JSON string: the serving
+/// key `tokens_per_sec_wall` when present, else the kernel key `throughput` with its
+/// `unit`.
+fn throughput_entries(json: &str) -> Vec<Entry> {
     let mut entries = Vec::new();
     let mut rest = json;
     while let Some(at) = rest.find("\"label\":\"") {
@@ -39,49 +66,55 @@ fn throughput_entries(json: &str) -> Vec<(String, f64)> {
         // The throughput field lives in the same entry object, before the next label.
         let scope_end = rest.find("\"label\":\"").unwrap_or(rest.len());
         let scope = &rest[..scope_end];
-        let value = field_value(scope, "\"tokens_per_sec_wall\":").or_else(|| field_value(scope, "\"throughput\":"));
-        if let Some(value) = value {
-            entries.push((label, value));
+        let entry = match field_value(scope, "\"tokens_per_sec_wall\":") {
+            Some(throughput) => Some((throughput, SERVING_UNIT)),
+            None => {
+                field_value(scope, "\"throughput\":").map(|t| (t, field_str(scope, "\"unit\":\"").unwrap_or("per_sec")))
+            }
+        };
+        if let Some((throughput, unit)) = entry {
+            entries.push(Entry { label, throughput, unit: unit.to_string() });
         }
     }
     entries
 }
 
-fn read_entries(path: &str) -> Result<Vec<(String, f64)>, String> {
+/// Reads a snapshot file into its kind and entries.
+fn read_snapshot(path: &str) -> Result<(String, Vec<Entry>), String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let entries = throughput_entries(&json);
     if entries.is_empty() {
-        return Err(format!("{path} holds no (label, tokens_per_sec_wall) entries"));
+        return Err(format!("{path} holds no labelled throughput entries"));
     }
-    Ok(entries)
+    Ok((snapshot_kind(&json).to_string(), entries))
 }
 
 fn run(baseline_path: &str, fresh_path: &str, tolerance: f64) -> Result<(), String> {
-    let baseline = read_entries(baseline_path)?;
-    let fresh = read_entries(fresh_path)?;
+    let (kind, baseline) = read_snapshot(baseline_path)?;
+    let (_, fresh) = read_snapshot(fresh_path)?;
     let mut failures = Vec::new();
-    for (label, base) in &baseline {
-        let Some((_, now)) = fresh.iter().find(|(l, _)| l == label) else {
+    for Entry { label, throughput: base, unit } in &baseline {
+        let Some(now) = fresh.iter().find(|e| &e.label == label).map(|e| e.throughput) else {
             failures.push(format!("{label}: missing from {fresh_path}"));
             continue;
         };
         let floor = base * (1.0 - tolerance);
         let delta = (now - base) / base * 100.0;
-        let verdict = if *now < floor { "FAIL" } else { "ok" };
-        println!("{verdict:>4}  {label:<24} baseline {base:>10.1} tok/s  now {now:>10.1} tok/s  ({delta:+.1}%)");
-        if *now < floor {
+        let verdict = if now < floor { "FAIL" } else { "ok" };
+        println!("{verdict:>4}  {label:<24} baseline {base:>16.1} {unit}  now {now:>16.1} {unit}  ({delta:+.1}%)");
+        if now < floor {
             failures.push(format!(
-                "{label}: {now:.1} tok/s is {:.1}% below baseline {base:.1} (tolerance -{:.0}%)",
+                "{label}: {now:.1} {unit} is {:.1}% below baseline {base:.1} (tolerance -{:.0}%)",
                 -delta,
                 tolerance * 100.0
             ));
         }
     }
     if failures.is_empty() {
-        println!("bench gate passed: {} entries within -{:.0}% of baseline", baseline.len(), tolerance * 100.0);
+        println!("{kind} bench gate passed: {} entries within -{:.0}% of baseline", baseline.len(), tolerance * 100.0);
         Ok(())
     } else {
-        Err(format!("serving throughput regression:\n  {}", failures.join("\n  ")))
+        Err(format!("{kind} throughput regression:\n  {}", failures.join("\n  ")))
     }
 }
 
@@ -119,17 +152,22 @@ mod tests {
         "]}"
     );
 
+    fn entry(label: &str, throughput: f64, unit: &str) -> Entry {
+        Entry { label: label.to_string(), throughput, unit: unit.to_string() }
+    }
+
     #[test]
     fn parses_labelled_throughputs() {
         let entries = throughput_entries(SNAPSHOT);
-        assert_eq!(entries, vec![("a_t1".to_string(), 1000.5), ("b_t2".to_string(), 2000.0)]);
+        assert_eq!(entries, vec![entry("a_t1", 1000.5, SERVING_UNIT), entry("b_t2", 2000.0, SERVING_UNIT)]);
+        assert_eq!(snapshot_kind(SNAPSHOT), "kv_paging_serving");
     }
 
     #[test]
     fn scopes_throughput_to_its_own_entry() {
         // An entry without the field must not steal the next entry's number.
         let json = "{\"label\":\"x\",\"other\":1},{\"label\":\"y\",\"tokens_per_sec_wall\":5}";
-        assert_eq!(throughput_entries(json), vec![("y".to_string(), 5.0)]);
+        assert_eq!(throughput_entries(json), vec![entry("y", 5.0, SERVING_UNIT)]);
     }
 
     #[test]
@@ -138,10 +176,11 @@ mod tests {
         // quote before "throughput" and must never be picked up, in either order.
         let json = concat!(
             "{\"bench\":\"kernels\",\"entries\":[",
-            "{\"label\":\"pack_4bit\",\"throughput\":9000.5,\"scalar_throughput\":1000.0},",
+            "{\"label\":\"pack_4bit\",\"throughput\":9000.5,\"unit\":\"codes_per_sec\",\"scalar_throughput\":1000.0},",
             "{\"label\":\"only_scalar\",\"scalar_throughput\":77.0}",
             "]}"
         );
-        assert_eq!(throughput_entries(json), vec![("pack_4bit".to_string(), 9000.5)]);
+        assert_eq!(throughput_entries(json), vec![entry("pack_4bit", 9000.5, "codes_per_sec")]);
+        assert_eq!(snapshot_kind(json), "kernels");
     }
 }

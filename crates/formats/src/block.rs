@@ -3,9 +3,10 @@
 use serde::{Deserialize, Serialize};
 
 use crate::element::ElementType;
+use crate::encode::{with_codec, BlockScale, ElementCodec};
 use crate::error::FormatError;
 use crate::minifloat;
-use crate::scale::{self, SharedScale};
+use crate::scale::SharedScale;
 
 /// Number of elements per MX block as defined by the OCP specification.
 pub const BLOCK_SIZE: usize = 32;
@@ -156,21 +157,34 @@ impl MxBlock {
 /// Panics if `codes.len() != values.len()`.
 pub fn quantize_codes_into(element: ElementType, values: &[f32], codes: &mut [u8]) -> SharedScale {
     assert_eq!(codes.len(), values.len(), "code buffer length must equal block length");
-    let Some(exp) = scale::shared_exponent(values, element.emax()) else {
+    with_codec!(element, |codec| quantize_codes_with(codec, values, codes))
+}
+
+/// [`quantize_codes_into`] with the encoder flavour already chosen (once per row).
+pub(crate) fn quantize_codes_with<const REF: bool>(
+    codec: &ElementCodec<REF>,
+    values: &[f32],
+    codes: &mut [u8],
+) -> SharedScale {
+    let Some(exp) = codec.shared_exponent(values) else {
         codes.fill(0);
         return SharedScale::ZERO_BLOCK;
     };
-    let scale = SharedScale::from_exponent(exp);
-    let s = scale.value();
+    let scale = BlockScale::new(SharedScale::from_exponent(exp));
     for (c, &v) in codes.iter_mut().zip(values) {
-        let scaled = v / s;
-        *c = if element.is_int() {
-            minifloat::encode_int(element, scaled)
-        } else {
-            minifloat::encode_fp(element, scaled)
-        };
+        *c = codec.encode(codec.scale_in(v, &scale));
     }
-    scale
+    scale.scale
+}
+
+/// Fake-quantizes one block into `out` (`quantize` then `dequantize`, without building
+/// an [`MxBlock`]).
+fn fake_quantize_block_with<const REF: bool>(codec: &ElementCodec<REF>, values: &[f32], out: &mut [f32]) {
+    let Some(exp) = codec.shared_exponent(values) else {
+        out.fill(0.0);
+        return;
+    };
+    codec.round_trip_into(values, &BlockScale::new(SharedScale::from_exponent(exp)), out);
 }
 
 /// Splits a row into blocks of `block_size`, quantizes each with `element`, and returns
@@ -185,6 +199,7 @@ pub fn fake_quantize_row(element: ElementType, block_size: usize, values: &[f32]
 
 /// Like [`fake_quantize_row`], but writes into a caller-provided buffer so hot loops can
 /// reuse one scratch allocation across rows (the KV-cache append path depends on this).
+/// Allocates nothing.
 ///
 /// # Panics
 ///
@@ -192,10 +207,11 @@ pub fn fake_quantize_row(element: ElementType, block_size: usize, values: &[f32]
 pub fn fake_quantize_row_into(element: ElementType, block_size: usize, values: &[f32], out: &mut [f32]) {
     assert!(block_size > 0, "block size must be positive");
     assert_eq!(out.len(), values.len(), "output length must equal input length");
-    for (chunk, out_chunk) in values.chunks(block_size).zip(out.chunks_mut(block_size)) {
-        let block = MxBlock::quantize(element, chunk);
-        block.dequantize_into(out_chunk);
-    }
+    with_codec!(element, |codec| {
+        for (chunk, out_chunk) in values.chunks(block_size).zip(out.chunks_mut(block_size)) {
+            fake_quantize_block_with(codec, chunk, out_chunk);
+        }
+    });
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::block::{self, MxBlock};
 use crate::element::ElementType;
+use crate::encode::with_codec;
 use crate::error::FormatError;
 use crate::kernels::{self, code_at, pack_codes_into, unpack_codes_into, MAX_FUSED_BLOCK};
 use crate::minifloat;
@@ -246,14 +247,14 @@ impl RowCodec {
         assert_eq!(out.len(), self.packed_bytes(values.len()), "packed row buffer size mismatch");
         let mut codes_buf = [0u8; MAX_FUSED_BLOCK];
         match self {
-            RowCodec::Mx(f) => {
+            RowCodec::Mx(f) => with_codec!(f.element, |codec| {
                 let bits = f.element.bits();
                 let mut off = 0;
                 for chunk in values.chunks(f.block_size) {
                     let nb = kernels::packed_len(chunk.len(), bits);
                     if chunk.len() <= MAX_FUSED_BLOCK {
                         let codes = &mut codes_buf[..chunk.len()];
-                        out[off] = block::quantize_codes_into(f.element, chunk, codes).to_bits();
+                        out[off] = block::quantize_codes_with(codec, chunk, codes).to_bits();
                         pack_codes_into(codes, bits, &mut out[off + 1..off + 1 + nb]);
                     } else {
                         let block = MxBlock::quantize(f.element, chunk);
@@ -262,15 +263,15 @@ impl RowCodec {
                     }
                     off += 1 + nb;
                 }
-            }
-            RowCodec::MxPlus(f) => {
+            }),
+            RowCodec::MxPlus(f) => with_codec!(f.element, |codec| {
                 let bits = f.element.bits();
                 let mut off = 0;
                 for chunk in values.chunks(f.block_size) {
                     let nb = kernels::packed_len(chunk.len(), bits);
                     if chunk.len() <= MAX_FUSED_BLOCK {
                         let codes = &mut codes_buf[..chunk.len()];
-                        let (scale, bm_index) = mxplus::quantize_codes_into(f.element, chunk, codes);
+                        let (scale, bm_index) = mxplus::quantize_codes_with(codec, chunk, codes);
                         out[off] = scale.to_bits();
                         out[off + 1] = bm_index & 0x1f;
                         pack_codes_into(codes, bits, &mut out[off + 2..off + 2 + nb]);
@@ -282,7 +283,7 @@ impl RowCodec {
                     }
                     off += 2 + nb;
                 }
-            }
+            }),
             RowCodec::Dequantized(scheme) => {
                 for (o, q) in out.chunks_exact_mut(4).zip(scheme.quantize_dequantize(values)) {
                     o.copy_from_slice(&q.to_le_bytes());

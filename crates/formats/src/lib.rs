@@ -51,7 +51,9 @@
 
 pub mod bf16;
 pub mod block;
+mod columns;
 pub mod element;
+mod encode;
 pub mod error;
 pub mod kernels;
 pub mod layout;

@@ -2,23 +2,129 @@
 //!
 //! These functions convert between `f32` and the raw bit codes of each
 //! [`ElementType`](crate::ElementType), using round-to-nearest-even and saturation
-//! semantics, exactly as the MX block codecs require. They are deliberately scalar and
-//! branch-heavy rather than table-driven so that every rounding decision is visible and
-//! testable; the block codecs compose them.
+//! semantics, exactly as the MX block codecs require; the block codecs compose them.
+//!
+//! The floating-point encoders come in two bit-identical flavours. [`encode_fp`] and
+//! [`encode_bm_extended`] work on the `f32` bit pattern: re-bias the exponent field,
+//! round the mantissa by add-then-shift (a carry ripples into the exponent), saturate at
+//! [`max_finite_code`]; the element's subnormal range is rounded by one exact float
+//! scale plus the add-2^23 round-to-integer. The element encoder is branch-free, so the
+//! block codecs' per-element loops vectorize. [`encode_fp_reference`] and
+//! [`encode_bm_extended_reference`] are the original `log2`/`powi` formulations, kept as
+//! the bit-exact reference: the block codecs select them for a whole row when
+//! [`crate::kernels::force_scalar`] is on, and the exhaustive tests compare both over
+//! all 2^32 inputs.
 
 use crate::element::ElementType;
+
+/// Round-to-nearest-even right shift by `s` (1..=31) bits: add just under half an output
+/// ULP plus the bit that becomes the output LSB, then truncate, so exact ties land on
+/// the even neighbour.
+#[inline(always)]
+const fn rne_shr(v: u32, s: u32) -> u32 {
+    v.wrapping_add((1 << (s - 1)) - 1).wrapping_add((v >> s) & 1) >> s
+}
+
+/// The per-element-type constants of the bit-pattern `f32` → code encoder, precomputed
+/// once so the per-element work is a handful of integer operations and selects.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FpEncoder {
+    /// Position of the sign bit in the code (`exp_bits + man_bits`).
+    sign_shift: u32,
+    /// Mantissa bits dropped from the `f32` significand (`23 - man_bits`).
+    man_shift: u32,
+    /// `(127 - bias) << 23`: subtracting it re-biases an `f32` exponent field to the
+    /// element's exponent field.
+    rebias: u32,
+    /// Bit pattern of the smallest normal element magnitude, `2^(1 - bias)`.
+    min_normal_bits: u32,
+    /// Bit pattern of the largest finite element magnitude.
+    max_normal_bits: u32,
+    /// `2^(bias + man_bits - 1)`, one over the element's subnormal spacing.
+    inv_ulp: f32,
+    /// [`max_finite_code`] of the element type.
+    max_code: u32,
+    /// [`nan_code`] of the element type (0 for types without NaN).
+    nan_code: u8,
+}
+
+impl FpEncoder {
+    /// The encoder for floating-point element type `et`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `et` is an integer element type.
+    pub(crate) fn new(et: ElementType) -> Self {
+        assert!(!et.is_int(), "encode_fp called with integer element type {et}");
+        let man_bits = et.man_bits();
+        let bias = et.bias() as u32;
+        let max_code = u32::from(max_finite_code(et));
+        let max_exp_field = max_code >> man_bits;
+        let max_man_field = max_code & ((1 << man_bits) - 1);
+        FpEncoder {
+            sign_shift: et.exp_bits() + man_bits,
+            man_shift: 23 - man_bits,
+            rebias: (127 - bias) << 23,
+            min_normal_bits: (128 - bias) << 23,
+            max_normal_bits: ((max_exp_field + 127 - bias) << 23) | (max_man_field << (23 - man_bits)),
+            inv_ulp: f32::from_bits((bias + man_bits - 1 + 127) << 23),
+            max_code,
+            nan_code: nan_code(et),
+        }
+    }
+
+    /// Encodes `x`; bit-identical to [`encode_fp_reference`] for every `f32` input.
+    ///
+    /// Both the normal-range and the subnormal-range code are computed and the right one
+    /// selected, so the body is branch-free apart from the final NaN select.
+    #[inline(always)]
+    pub(crate) fn encode(&self, x: f32) -> u8 {
+        let bits = x.to_bits();
+        let a = bits & 0x7fff_ffff;
+        let sign = (bits >> 31) << self.sign_shift;
+        // Normal target: re-bias the exponent field, then round the mantissa; a carry out
+        // of the mantissa increments the exponent, and anything past the largest finite
+        // code saturates.
+        let normal = rne_shr(a.wrapping_sub(self.rebias), self.man_shift).min(self.max_code);
+        // Subnormal target (and zero): |x| / ulp is exact (a power-of-two scaling) and
+        // below 2^man_bits, so adding 2^23 rounds it to an integer, nearest-even, in the
+        // low mantissa bits. Rounding up to `1 << man_bits` is exactly the smallest
+        // normal code. (A shift of the significand would need a per-element shift
+        // count, which the SSE2 baseline cannot vectorize.)
+        let subnormal = (f32::from_bits(a) * self.inv_ulp + 8_388_608.0).to_bits().wrapping_sub(0x4b00_0000);
+        let magnitude = if a < self.min_normal_bits { subnormal } else { normal };
+        let magnitude = if a >= self.max_normal_bits { self.max_code } else { magnitude };
+        if a > 0x7f80_0000 {
+            self.nan_code
+        } else {
+            (sign | magnitude) as u8
+        }
+    }
+}
 
 /// Encodes `x` into the raw bit code of the floating-point element type `et`.
 ///
 /// Rounding is round-to-nearest-even. Values whose magnitude exceeds the largest finite
 /// representable value saturate to it (MX conversions never generate Inf/NaN). NaN inputs
 /// encode as the canonical NaN for types that have one (E4M3, E5M2) and as zero otherwise.
+/// Works on the bit pattern (re-bias the exponent field, round the mantissa by
+/// add-then-shift); bit-identical to [`encode_fp_reference`].
 ///
 /// # Panics
 ///
 /// Panics if `et` is an integer element type; use [`encode_int`] for those.
 #[must_use]
 pub fn encode_fp(et: ElementType, x: f32) -> u8 {
+    FpEncoder::new(et).encode(x)
+}
+
+/// The `log2`/`powi` formulation of [`encode_fp`], kept as its bit-exact reference.
+///
+/// # Panics
+///
+/// Panics if `et` is an integer element type; use [`encode_int`] for those.
+#[must_use]
+pub fn encode_fp_reference(et: ElementType, x: f32) -> u8 {
     assert!(!et.is_int(), "encode_fp called with integer element type {et}");
     let man_bits = et.man_bits();
     let exp_bits = et.exp_bits();
@@ -175,9 +281,32 @@ pub fn quantize(et: ElementType, x: f32) -> f32 {
 /// integer bit is made implicit (Section 8.2).
 ///
 /// Returns the `(code, sign)` pair where `code` has exactly `plus_bm_man_bits` significant
-/// bits. Out-of-range inputs saturate.
+/// bits. Out-of-range inputs saturate: magnitudes below the base (and negative or NaN
+/// inputs) give mantissa 0, magnitudes of twice the base or more give all ones. Integer
+/// arithmetic on the bit pattern; bit-identical to [`encode_bm_extended_reference`].
 #[must_use]
 pub fn encode_bm_extended(et: ElementType, scaled_abs: f32, negative: bool) -> u8 {
+    let k = et.plus_bm_man_bits();
+    let max = (1u32 << k) - 1;
+    let base_exp = if et.is_int() { 0 } else { et.emax() };
+    let base_bits = ((base_exp + 127) as u32) << 23;
+    // Sign-set patterns (negatives, -0, negative NaNs) compare above every positive one.
+    let bits = scaled_abs.to_bits();
+    let m = if bits < base_bits || bits > 0x7f80_0000 {
+        0
+    } else if bits >= base_bits + (1 << 23) {
+        max
+    } else {
+        // Inside [base, 2 * base) the stored mantissa is the rounded f32 mantissa.
+        rne_shr(bits & 0x7f_ffff, 23 - k).min(max)
+    };
+    (u8::from(negative) << k) | m as u8
+}
+
+/// The floating-point formulation of [`encode_bm_extended`], kept as its bit-exact
+/// reference.
+#[must_use]
+pub fn encode_bm_extended_reference(et: ElementType, scaled_abs: f32, negative: bool) -> u8 {
     let k = et.plus_bm_man_bits();
     let base = if et.is_int() { 1.0 } else { (2.0_f32).powi(et.emax()) };
     let frac = ((scaled_abs / base - 1.0) * (1u32 << k) as f32).round_ties_even();

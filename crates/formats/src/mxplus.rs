@@ -11,11 +11,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::block::{MxBlock, BLOCK_SIZE};
+use crate::block::BLOCK_SIZE;
 use crate::element::ElementType;
+use crate::encode::{with_codec, BlockScale, ElementCodec};
 use crate::error::FormatError;
 use crate::minifloat;
-use crate::scale::{self, SharedScale, MIN_SHARED_EXP};
+use crate::scale::{SharedScale, MIN_SHARED_EXP};
 
 /// A quantized MX+ block.
 ///
@@ -200,27 +201,42 @@ impl MxPlusBlock {
 /// Panics if `codes.len() != values.len()`.
 pub fn quantize_codes_into(element: ElementType, values: &[f32], codes: &mut [u8]) -> (SharedScale, u8) {
     assert_eq!(codes.len(), values.len(), "code buffer length must equal block length");
-    let shared_exp = scale::shared_exponent(values, element.emax());
+    with_codec!(element, |codec| quantize_codes_with(codec, values, codes))
+}
+
+/// The MX+ block scale and BM index, or `None` when the block flushes to zero.
+fn block_scale<const REF: bool>(codec: &ElementCodec<REF>, values: &[f32]) -> Option<(BlockScale, usize)> {
     // Flush-to-zero rule: below MIN_SHARED_EXP the BM's private exponent would sit below
     // e_max, breaking the MX+ invariant that makes the exponent field redundant.
-    let Some(shared_exp) = shared_exp.filter(|&e| e >= MIN_SHARED_EXP) else {
+    let (shared_exp, bm_index) = codec.shared_exponent_and_index(values).filter(|&(e, _)| e >= MIN_SHARED_EXP)?;
+    Some((BlockScale::new(SharedScale::from_exponent(shared_exp)), bm_index))
+}
+
+/// [`quantize_codes_into`] with the encoder flavour already chosen (once per row).
+pub(crate) fn quantize_codes_with<const REF: bool>(
+    codec: &ElementCodec<REF>,
+    values: &[f32],
+    codes: &mut [u8],
+) -> (SharedScale, u8) {
+    let Some((scale, bm_index)) = block_scale(codec, values) else {
         codes.fill(0);
         return (SharedScale::ZERO_BLOCK, 0);
     };
-    let bm_index = MxBlock::block_max_index(values);
-    let scale = SharedScale::from_exponent(shared_exp);
-    let s = scale.value();
-    for (i, (c, &v)) in codes.iter_mut().zip(values).enumerate() {
-        let scaled = v / s;
-        *c = if i == bm_index {
-            minifloat::encode_bm_extended(element, scaled.abs(), v.is_sign_negative())
-        } else if element.is_int() {
-            minifloat::encode_int(element, scaled)
-        } else {
-            minifloat::encode_fp(element, scaled)
-        };
+    for (c, &v) in codes.iter_mut().zip(values) {
+        *c = codec.encode(codec.scale_in(v, &scale));
     }
-    (scale, bm_index as u8)
+    codes[bm_index] = codec.encode_bm_value(values[bm_index], &scale);
+    (scale.scale, bm_index as u8)
+}
+
+/// Fake-quantizes one MX+ block into `out` without building an [`MxPlusBlock`].
+fn fake_quantize_block_with<const REF: bool>(codec: &ElementCodec<REF>, values: &[f32], out: &mut [f32]) {
+    let Some((scale, bm_index)) = block_scale(codec, values) else {
+        out.fill(0.0);
+        return;
+    };
+    codec.round_trip_into(values, &scale, out);
+    out[bm_index] = codec.decode_bm(codec.encode_bm_value(values[bm_index], &scale)) * scale.value;
 }
 
 /// An MX+ format descriptor: element type plus block size, mirroring
@@ -267,11 +283,23 @@ impl MxPlusFormat {
     /// Direct-cast fake quantization of a row.
     #[must_use]
     pub fn quantize_dequantize(&self, values: &[f32]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(values.len());
-        for chunk in values.chunks(self.block_size) {
-            out.extend(MxPlusBlock::quantize(self.element, chunk).dequantize());
-        }
+        let mut out = vec![0.0; values.len()];
+        self.quantize_dequantize_into(values, &mut out);
         out
+    }
+
+    /// Buffer-reusing variant of [`MxPlusFormat::quantize_dequantize`]; allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != values.len()`.
+    pub fn quantize_dequantize_into(&self, values: &[f32], out: &mut [f32]) {
+        assert_eq!(out.len(), values.len(), "output length must equal input length");
+        with_codec!(self.element, |codec| {
+            for (chunk, out_chunk) in values.chunks(self.block_size).zip(out.chunks_mut(self.block_size)) {
+                fake_quantize_block_with(codec, chunk, out_chunk);
+            }
+        });
     }
 
     /// Short display name like "MXFP4+".
@@ -303,7 +331,7 @@ impl std::fmt::Display for MxPlusFormat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::fake_quantize_row;
+    use crate::block::{fake_quantize_row, MxBlock};
 
     fn mse(a: &[f32], b: &[f32]) -> f64 {
         a.iter().zip(b).map(|(x, y)| ((x - y) * (x - y)) as f64).sum::<f64>() / a.len() as f64

@@ -7,10 +7,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::block::{MxBlock, BLOCK_SIZE};
+use crate::block::BLOCK_SIZE;
 use crate::element::ElementType;
+use crate::encode::{with_codec, BlockScale, ElementCodec};
 use crate::minifloat;
-use crate::scale::{self, SharedScale, MIN_SHARED_EXP};
+use crate::scale::{abs_finite_bits, floor_log2_bits, SharedScale, MIN_SHARED_EXP};
 
 /// A quantized MX++ block.
 ///
@@ -40,56 +41,18 @@ impl MxPlusPlusBlock {
     /// Quantizes a slice of values into an MX++ block.
     #[must_use]
     pub fn quantize(element: ElementType, values: &[f32]) -> Self {
-        let emax = element.emax();
-        let zero_block = |len: usize| MxPlusPlusBlock {
-            element,
-            scale: SharedScale::ZERO_BLOCK,
-            bm_index: 0,
-            scale_delta: 0,
-            codes: vec![0; len],
-        };
-        let Some(shared_exp) = scale::shared_exponent(values, emax) else {
-            return zero_block(values.len());
-        };
-        if shared_exp < MIN_SHARED_EXP {
-            return zero_block(values.len());
-        }
-        let bm_index = MxBlock::block_max_index(values);
-
-        // Smallest feasible shared exponent for the NBM elements (Section 4.3):
-        // e = max2(floor(log2|x|)) - emax + 1, clipped to [shared_exp - 7, shared_exp].
-        let max2_exp = values
-            .iter()
-            .enumerate()
-            .filter(|(i, v)| *i != bm_index && v.is_finite() && **v != 0.0)
-            .map(|(_, &v)| scale::floor_log2(v.abs()))
-            .max();
-        let nbm_exp = match max2_exp {
-            None => shared_exp,
-            Some(m2) => {
-                let e = m2 - emax + 1;
-                e.clamp(shared_exp - 7, shared_exp)
-            }
-        };
-        let scale_delta = (shared_exp - nbm_exp) as u8;
-
-        let bm_scale = SharedScale::from_exponent(shared_exp);
-        let nbm_scale_value = SharedScale::from_exponent(nbm_exp).value();
-        let s_bm = bm_scale.value();
-        let codes = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                if i == bm_index {
-                    minifloat::encode_bm_extended(element, (v / s_bm).abs(), v.is_sign_negative())
-                } else if element.is_int() {
-                    minifloat::encode_int(element, v / nbm_scale_value)
-                } else {
-                    minifloat::encode_fp(element, v / nbm_scale_value)
+        let mut codes = vec![0; values.len()];
+        with_codec!(element, |codec| match plan(codec, values) {
+            None => MxPlusPlusBlock { element, scale: SharedScale::ZERO_BLOCK, bm_index: 0, scale_delta: 0, codes },
+            Some(p) => {
+                for (c, &v) in codes.iter_mut().zip(values) {
+                    *c = codec.encode(codec.scale_in(v, &p.nbm));
                 }
-            })
-            .collect();
-        MxPlusPlusBlock { element, scale: bm_scale, bm_index: bm_index as u8, scale_delta, codes }
+                codes[p.bm_index] = codec.encode_bm_value(values[p.bm_index], &p.bm);
+                let (scale, bm_index, scale_delta) = (p.bm.scale, p.bm_index as u8, p.scale_delta);
+                MxPlusPlusBlock { element, scale, bm_index, scale_delta, codes }
+            }
+        })
     }
 
     /// The element data type.
@@ -173,15 +136,64 @@ impl MxPlusPlusBlock {
     }
 }
 
+/// The per-block parameters of MX++: the BM scale (identical to the MX/MX+ shared
+/// scale) and index, and the decoupled NBM scale with its delta.
+struct Plan {
+    bm: BlockScale,
+    nbm: BlockScale,
+    bm_index: usize,
+    scale_delta: u8,
+}
+
+/// The MX++ parameters of a block, or `None` when it encodes as the zero block.
+fn plan<const REF: bool>(codec: &ElementCodec<REF>, values: &[f32]) -> Option<Plan> {
+    let emax = codec.element().emax();
+    let (shared_exp, bm_index) = codec.shared_exponent_and_index(values).filter(|&(e, _)| e >= MIN_SHARED_EXP)?;
+
+    // Smallest feasible shared exponent for the NBM elements (Section 4.3):
+    // e = max2(floor(log2|x|)) - emax + 1, clipped to [shared_exp - 7, shared_exp].
+    // floor(log2) is monotone, so it is taken once, of the largest non-BM magnitude.
+    let max2 =
+        values.iter().enumerate().filter(|&(i, _)| i != bm_index).fold(0, |m, (_, &v)| m.max(abs_finite_bits(v)));
+    let nbm_exp = match max2 {
+        0 => shared_exp,
+        m2 => (floor_log2_bits(m2) - emax + 1).clamp(shared_exp - 7, shared_exp),
+    };
+    Some(Plan {
+        bm: BlockScale::new(SharedScale::from_exponent(shared_exp)),
+        nbm: BlockScale::new(SharedScale::from_exponent(nbm_exp)),
+        bm_index,
+        scale_delta: (shared_exp - nbm_exp) as u8,
+    })
+}
+
 /// Direct-cast fake quantization of a row with MX++ blocks of `block_size` elements.
 #[must_use]
 pub fn fake_quantize_row_pp(element: ElementType, block_size: usize, values: &[f32]) -> Vec<f32> {
-    assert!(block_size > 0, "block size must be positive");
-    let mut out = Vec::with_capacity(values.len());
-    for chunk in values.chunks(block_size) {
-        out.extend(MxPlusPlusBlock::quantize(element, chunk).dequantize());
-    }
+    let mut out = vec![0.0; values.len()];
+    fake_quantize_row_pp_into(element, block_size, values, &mut out);
     out
+}
+
+/// Buffer-reusing variant of [`fake_quantize_row_pp`]; allocates nothing.
+///
+/// # Panics
+///
+/// Panics if `block_size == 0` or `out.len() != values.len()`.
+pub fn fake_quantize_row_pp_into(element: ElementType, block_size: usize, values: &[f32], out: &mut [f32]) {
+    assert!(block_size > 0, "block size must be positive");
+    assert_eq!(out.len(), values.len(), "output length must equal input length");
+    with_codec!(element, |codec| {
+        for (chunk, out_chunk) in values.chunks(block_size).zip(out.chunks_mut(block_size)) {
+            let Some(p) = plan(codec, chunk) else {
+                out_chunk.fill(0.0);
+                continue;
+            };
+            codec.round_trip_into(chunk, &p.nbm, out_chunk);
+            let bm = codec.encode_bm_value(chunk[p.bm_index], &p.bm);
+            out_chunk[p.bm_index] = codec.decode_bm(bm) * p.bm.value;
+        }
+    });
 }
 
 /// Convenience descriptor for MXFP4++ with the standard block size.

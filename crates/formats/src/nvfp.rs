@@ -8,8 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::block::MxBlock;
 use crate::element::ElementType;
+use crate::encode::{with_codec, ElementCodec};
 use crate::minifloat;
 
 /// NVFP4 block size.
@@ -21,18 +21,60 @@ pub const NVFP4_BLOCK_SIZE: usize = 16;
 /// rounded to the nearest representable E4M3 value.
 #[must_use]
 pub fn nvfp4_scale(values: &[f32]) -> f32 {
+    nvfp4_scale_with::<false>(values)
+}
+
+/// [`nvfp4_scale`], rounding with the reference E4M3 encoder when `REF` is set.
+fn nvfp4_scale_with<const REF: bool>(values: &[f32]) -> f32 {
     let max_abs = values.iter().map(|v| v.abs()).filter(|v| v.is_finite()).fold(0.0_f32, f32::max);
     if max_abs == 0.0 {
         return 0.0;
     }
     let raw = max_abs / ElementType::E2M1.max_normal();
-    let q = minifloat::quantize_fp(ElementType::E4M3, raw);
+    let code = if REF {
+        minifloat::encode_fp_reference(ElementType::E4M3, raw)
+    } else {
+        minifloat::encode_fp(ElementType::E4M3, raw)
+    };
+    let q = minifloat::decode_fp(ElementType::E4M3, code);
     if q == 0.0 {
         // Keep a tiny non-zero scale so the block does not collapse; use the smallest
         // subnormal E4M3 value.
         ElementType::E4M3.min_subnormal()
     } else {
         q
+    }
+}
+
+/// The per-block parameters of NVFP4(+): the E4M3 scale, the BM index and whether the
+/// extended BM mantissa is in use. `None` for an all-zero block (scale 0).
+struct Plan {
+    scale: f32,
+    bm_index: usize,
+    bm_extended: bool,
+}
+
+fn plan<const REF: bool>(codec: &ElementCodec<REF>, values: &[f32], plus: bool) -> Option<Plan> {
+    let scale = nvfp4_scale_with::<REF>(values);
+    if scale == 0.0 {
+        return None;
+    }
+    let bm_index = codec.block_max_index(values);
+    // The BM extension applies only when the scaled BM's exponent is at the FP4
+    // maximum (>= 4.0), which holds unless the E4M3 scale rounding pushed it lower.
+    let scaled_bm = (values[bm_index] / scale).abs();
+    let bm_extended = plus && scaled_bm >= (2.0_f32).powi(ElementType::E2M1.emax());
+    Some(Plan { scale, bm_index, bm_extended })
+}
+
+/// Encodes one element against the block's plan (the BM slot takes the extended code).
+#[inline(always)]
+fn encode_element<const REF: bool>(codec: &ElementCodec<REF>, p: &Plan, i: usize, v: f32) -> u8 {
+    let scaled = v / p.scale;
+    if p.bm_extended && i == p.bm_index {
+        codec.encode_bm(scaled.abs(), v.is_sign_negative())
+    } else {
+        codec.encode(scaled)
     }
 }
 
@@ -62,28 +104,13 @@ impl Nvfp4Block {
     }
 
     fn quantize_impl(values: &[f32], plus: bool) -> Self {
-        let scale = nvfp4_scale(values);
-        if scale == 0.0 {
-            return Nvfp4Block { scale, plus, bm_index: 0, bm_extended: false, codes: vec![0; values.len()] };
-        }
-        let bm_index = MxBlock::block_max_index(values);
-        // The BM extension applies only when the scaled BM's exponent is at the FP4
-        // maximum (>= 4.0), which holds unless the E4M3 scale rounding pushed it lower.
-        let scaled_bm = (values[bm_index] / scale).abs();
-        let bm_extended = plus && scaled_bm >= (2.0_f32).powi(ElementType::E2M1.emax());
-        let codes = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                let scaled = v / scale;
-                if bm_extended && i == bm_index {
-                    minifloat::encode_bm_extended(ElementType::E2M1, scaled.abs(), v.is_sign_negative())
-                } else {
-                    minifloat::encode_fp(ElementType::E2M1, scaled)
-                }
-            })
-            .collect();
-        Nvfp4Block { scale, plus, bm_index: bm_index as u8, bm_extended, codes }
+        with_codec!(ElementType::E2M1, |codec| match plan(codec, values, plus) {
+            None => Nvfp4Block { scale: 0.0, plus, bm_index: 0, bm_extended: false, codes: vec![0; values.len()] },
+            Some(p) => {
+                let codes = values.iter().enumerate().map(|(i, &v)| encode_element(codec, &p, i, v)).collect();
+                Nvfp4Block { scale: p.scale, plus, bm_index: p.bm_index as u8, bm_extended: p.bm_extended, codes }
+            }
+        })
     }
 
     /// The E4M3 scale factor.
@@ -134,21 +161,40 @@ impl Nvfp4Block {
 /// Direct-cast fake quantization of a row with NVFP4 blocks.
 #[must_use]
 pub fn nvfp4_quantize_dequantize(values: &[f32]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(values.len());
-    for chunk in values.chunks(NVFP4_BLOCK_SIZE) {
-        out.extend(Nvfp4Block::quantize(chunk).dequantize());
-    }
+    let mut out = vec![0.0; values.len()];
+    nvfp4_quantize_dequantize_into(values, false, &mut out);
     out
 }
 
 /// Direct-cast fake quantization of a row with NVFP4+ blocks.
 #[must_use]
 pub fn nvfp4_plus_quantize_dequantize(values: &[f32]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(values.len());
-    for chunk in values.chunks(NVFP4_BLOCK_SIZE) {
-        out.extend(Nvfp4Block::quantize_plus(chunk).dequantize());
-    }
+    let mut out = vec![0.0; values.len()];
+    nvfp4_quantize_dequantize_into(values, true, &mut out);
     out
+}
+
+/// Buffer-reusing NVFP4 (`plus == false`) or NVFP4+ (`plus == true`) fake quantization
+/// of a row; allocates nothing.
+///
+/// # Panics
+///
+/// Panics if `out.len() != values.len()`.
+pub fn nvfp4_quantize_dequantize_into(values: &[f32], plus: bool, out: &mut [f32]) {
+    assert_eq!(out.len(), values.len(), "output length must equal input length");
+    with_codec!(ElementType::E2M1, |codec| {
+        for (chunk, out_chunk) in values.chunks(NVFP4_BLOCK_SIZE).zip(out.chunks_mut(NVFP4_BLOCK_SIZE)) {
+            let Some(p) = plan(codec, chunk, plus) else {
+                out_chunk.fill(0.0);
+                continue;
+            };
+            for (i, (o, &v)) in out_chunk.iter_mut().zip(chunk).enumerate() {
+                let code = encode_element(codec, &p, i, v);
+                let e = if p.bm_extended && i == p.bm_index { codec.decode_bm(code) } else { codec.decode(code) };
+                *o = e * p.scale;
+            }
+        }
+    });
 }
 
 #[cfg(test)]

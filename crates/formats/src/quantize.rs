@@ -9,12 +9,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::bf16::round_to_bf16;
 use crate::block::BLOCK_SIZE;
+use crate::columns;
 use crate::element::ElementType;
+use crate::encode::ElementCodec;
 use crate::msfp::MsfpFormat;
 use crate::mxfp::MxFormat;
 use crate::mxplus::MxPlusFormat;
-use crate::mxpp::fake_quantize_row_pp;
-use crate::nvfp::{nvfp4_plus_quantize_dequantize, nvfp4_quantize_dequantize};
+use crate::mxpp::fake_quantize_row_pp_into;
+use crate::nvfp::nvfp4_quantize_dequantize_into;
 use crate::smx::SmxFormat;
 use crate::topk::quantize_row_topk;
 
@@ -150,25 +152,25 @@ impl QuantScheme {
     pub fn quantize_dequantize(&self, values: &[f32]) -> Vec<f32> {
         match self {
             QuantScheme::Fp32 => values.to_vec(),
-            QuantScheme::Bf16 => values.iter().map(|&v| round_to_bf16(v)).collect(),
-            QuantScheme::Mx(f) => f.quantize_dequantize(values),
-            QuantScheme::MxPlus(f) => f.quantize_dequantize(values),
-            QuantScheme::MxPlusPlus(et) => fake_quantize_row_pp(*et, BLOCK_SIZE, values),
             QuantScheme::Msfp(f) => f.quantize_dequantize(values),
             QuantScheme::Smx(f) => f.quantize_dequantize(values),
-            QuantScheme::Nvfp4 => nvfp4_quantize_dequantize(values),
-            QuantScheme::Nvfp4Plus => nvfp4_plus_quantize_dequantize(values),
             QuantScheme::TopK(k) => quantize_row_topk(*k, values).values,
+            _ => {
+                let mut out = vec![0.0; values.len()];
+                self.quantize_dequantize_into(values, &mut out);
+                out
+            }
         }
     }
 
     /// Buffer-reusing variant of [`QuantScheme::quantize_dequantize`]: writes the
-    /// fake-quantized row into `out` so per-row callers (KV-cache appends, column-block
-    /// weight casts) can reuse one scratch buffer instead of allocating a `Vec` per row.
+    /// fake-quantized row into `out` so per-row callers (KV-cache appends, activation
+    /// quantization, weight casts) can reuse one scratch buffer instead of allocating a
+    /// `Vec` per row.
     ///
-    /// Identity/rounding schemes and the MX family quantize fully in place; the remaining
-    /// schemes fall back to their allocating kernel and copy the result into `out`, so the
-    /// two entry points always agree bit for bit.
+    /// BF16 and the whole MX family (MX, MX+, MX++, NVFP4, NVFP4+) quantize in place and
+    /// allocate nothing; only MSFP, SMX and top-k fall back to their allocating kernel and
+    /// copy the result into `out`. The two entry points always agree bit for bit.
     ///
     /// # Panics
     ///
@@ -183,7 +185,60 @@ impl QuantScheme {
                 }
             }
             QuantScheme::Mx(f) => f.quantize_dequantize_into(values, out),
-            _ => out.copy_from_slice(&self.quantize_dequantize(values)),
+            QuantScheme::MxPlus(f) => f.quantize_dequantize_into(values, out),
+            QuantScheme::MxPlusPlus(et) => fake_quantize_row_pp_into(*et, BLOCK_SIZE, values, out),
+            QuantScheme::Nvfp4 => nvfp4_quantize_dequantize_into(values, false, out),
+            QuantScheme::Nvfp4Plus => nvfp4_quantize_dequantize_into(values, true, out),
+            QuantScheme::Msfp(_) | QuantScheme::Smx(_) | QuantScheme::TopK(_) => {
+                out.copy_from_slice(&self.quantize_dequantize(values));
+            }
+        }
+    }
+
+    /// Fake-quantizes every *column* of the row-major matrix `data` (`cols` wide), i.e.
+    /// blocks run down the columns — the layout of a weight matrix whose reduction
+    /// dimension is its rows. Bit-identical to transposing, quantizing the rows with
+    /// [`QuantScheme::quantize_dequantize_into`] and transposing back.
+    ///
+    /// MX and MX+ take a banded cast: for each band of `block_size` rows, one row-major
+    /// pass finds every column's block max (and MX+ block-max row), then the band is
+    /// encoded row by row, so the matrix is read in memory order instead of one strided
+    /// column at a time. Other schemes, and forced-scalar mode, gather each column into
+    /// a scratch buffer and quantize it as a row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != data.len()`, or if `cols == 0` while `data` is non-empty,
+    /// or if `data.len()` is not a multiple of `cols`.
+    pub fn quantize_dequantize_columns_into(&self, data: &[f32], cols: usize, out: &mut [f32]) {
+        assert_eq!(out.len(), data.len(), "output length must equal input length");
+        if data.is_empty() {
+            return;
+        }
+        assert!(cols > 0 && data.len().is_multiple_of(cols), "data must hold whole rows of {cols} columns");
+        let fast = !crate::kernels::scalar_forced();
+        match self {
+            QuantScheme::Fp32 => out.copy_from_slice(data),
+            QuantScheme::Mx(f) if fast => {
+                columns::cast_banded(&ElementCodec::<false>::new(f.element), f.block_size, false, data, cols, out);
+            }
+            QuantScheme::MxPlus(f) if fast => {
+                columns::cast_banded(&ElementCodec::<false>::new(f.element), f.block_size, true, data, cols, out);
+            }
+            _ => {
+                let rows = data.len() / cols;
+                let mut column = vec![0.0_f32; rows];
+                let mut quantized = vec![0.0_f32; rows];
+                for c in 0..cols {
+                    for (r, slot) in column.iter_mut().enumerate() {
+                        *slot = data[r * cols + c];
+                    }
+                    self.quantize_dequantize_into(&column, &mut quantized);
+                    for (r, &q) in quantized.iter().enumerate() {
+                        out[r * cols + c] = q;
+                    }
+                }
+            }
         }
     }
 

@@ -82,12 +82,23 @@ impl SharedScale {
     /// the NaN code.
     #[must_use]
     pub fn value(self) -> f32 {
-        if self.is_zero_block() {
-            0.0
-        } else if self.is_nan() {
+        // E8M0 is the f32 exponent field: biased 1..=254 is exactly the f32 with that
+        // exponent field and a zero mantissa, and biased 0 is the bit pattern of 0.0.
+        if self.is_nan() {
             f32::NAN
         } else {
-            (2.0_f32).powi(i32::from(self.0) - E8M0_BIAS)
+            f32::from_bits(u32::from(self.0) << 23)
+        }
+    }
+
+    /// `1 / value()`, exactly: the scale is a power of two, so its reciprocal is one too
+    /// (`2^-127`, for the largest scale, is an f32 subnormal). Multiplying by it is
+    /// therefore bit-identical to dividing by [`SharedScale::value`]. Only meaningful for
+    /// scales with an [`exponent`](SharedScale::exponent).
+    pub(crate) fn reciprocal(self) -> f32 {
+        match self.0 {
+            254 => f32::from_bits(1 << 22),
+            b => f32::from_bits(u32::from(254 - b.min(254)) << 23),
         }
     }
 }
@@ -112,17 +123,42 @@ pub fn shared_exponent(values: &[f32], emax: i32) -> Option<i32> {
     Some(floor_log2(max_abs) - emax)
 }
 
+/// The bit pattern of `|x|` if `x` is finite, else 0. Non-negative `f32`s order exactly
+/// like their bit patterns, so the largest of these is the bit pattern of the largest
+/// finite magnitude.
+#[inline(always)]
+pub(crate) fn abs_finite_bits(x: f32) -> u32 {
+    let a = x.to_bits() & 0x7fff_ffff;
+    if a < 0x7f80_0000 {
+        a
+    } else {
+        0
+    }
+}
+
+/// [`abs_finite_bits`] of the largest finite magnitude in `values` (0 when there is none
+/// or it is zero): the integer form of the block-max search in [`shared_exponent`].
+pub(crate) fn max_abs_finite_bits(values: &[f32]) -> u32 {
+    values.iter().fold(0, |m, &v| m.max(abs_finite_bits(v)))
+}
+
 /// `floor(log2(x))` computed from the IEEE-754 representation so that exact powers of two
 /// never land on the wrong side of the boundary.
 #[must_use]
 pub fn floor_log2(x: f32) -> i32 {
     debug_assert!(x > 0.0 && x.is_finite());
-    let bits = x.to_bits();
-    let exp = ((bits >> 23) & 0xff) as i32;
+    floor_log2_bits(x.to_bits() & 0x7fff_ffff)
+}
+
+/// [`floor_log2`] of the positive finite `f32` with bit pattern `bits`: the unbiased
+/// exponent field, or for a subnormal (`value = bits * 2^-149`) the position of the
+/// highest set bit minus 149.
+#[inline(always)]
+pub(crate) fn floor_log2_bits(bits: u32) -> i32 {
+    debug_assert!(bits != 0 && bits < 0x7f80_0000);
+    let exp = (bits >> 23) as i32;
     if exp == 0 {
-        // Subnormal f32: fall back to log2 (values this small never matter for blocks,
-        // but keep the function total).
-        x.log2().floor() as i32
+        (31 - bits.leading_zeros()) as i32 - 149
     } else {
         exp - 127
     }
@@ -131,6 +167,7 @@ pub fn floor_log2(x: f32) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::ElementType;
 
     #[test]
     fn round_trip_exponents() {
@@ -165,6 +202,62 @@ mod tests {
             assert_eq!(floor_log2(x * 1.5), e);
             assert_eq!(floor_log2(x * 1.999), e);
         }
+    }
+
+    #[test]
+    fn floor_log2_is_exact_on_every_subnormal() {
+        // All 2^23 - 1 positive subnormals: value = m * 2^-149, so floor(log2) is the
+        // highest set bit of m minus 149. The former `log2().floor()` fallback was off by
+        // one on 52 of them (e.g. m = 0x3ffff gave -131 instead of -132).
+        let mut fallback_errors = 0;
+        let mut int_plus_changes = 0;
+        for m in 1u32..(1 << 23) {
+            let x = f32::from_bits(m);
+            let expected = (31 - m.leading_zeros()) as i32 - 149;
+            assert_eq!(floor_log2(x), expected, "subnormal {m:#x}");
+            let fallback = x.log2().floor() as i32;
+            if fallback != expected {
+                fallback_errors += 1;
+            }
+            for et in ElementType::FP_TYPES.into_iter().chain([ElementType::Int8, ElementType::Int4]) {
+                let (exp, former) = (expected - et.emax(), fallback - et.emax());
+                // MX: a subnormal block max clamps to the same scale either way.
+                assert_eq!(SharedScale::from_exponent(exp), SharedScale::from_exponent(former), "{et} {m:#x}");
+                // MX+: the exact exponent is always below the scale range, so the block
+                // flushes to zero. The former one reached it only for integer elements.
+                assert!(exp < MIN_SHARED_EXP, "{et} {m:#x}");
+                if former >= MIN_SHARED_EXP {
+                    assert!(et.is_int(), "{et} {m:#x}");
+                    int_plus_changes += 1;
+                }
+            }
+        }
+        assert_eq!(fallback_errors, 52);
+        // The former fallback gave -126 for the 22 subnormals just below 2^-126
+        // (0x7fffea..=0x7fffff), so MXINT8+/MXINT4+ (e_max 0) kept such a block at scale
+        // 2^-126 instead of flushing it as the MX+ rule requires; MX and the FP element
+        // types are unaffected.
+        assert_eq!(int_plus_changes, 2 * 22);
+        assert_eq!(floor_log2(f32::from_bits(0x3ffff)), -132);
+    }
+
+    #[test]
+    fn bit_built_value_and_reciprocal_match_powi() {
+        for b in 1..=254u8 {
+            let s = SharedScale::from_bits(b);
+            let e = i32::from(b) - E8M0_BIAS;
+            assert_eq!(s.value().to_bits(), (2.0_f32).powi(e).to_bits(), "value of {b}");
+            assert_eq!(s.reciprocal().to_bits(), ((2.0_f64).powi(-e) as f32).to_bits(), "reciprocal of {b}");
+            assert_eq!(s.value() * s.reciprocal(), 1.0);
+        }
+        assert_eq!(SharedScale::ZERO_BLOCK.value().to_bits(), 0);
+    }
+
+    #[test]
+    fn max_abs_finite_bits_skips_non_finite() {
+        assert_eq!(max_abs_finite_bits(&[f32::NAN, -4.0, f32::INFINITY, 2.0]), (4.0_f32).to_bits());
+        assert_eq!(max_abs_finite_bits(&[-0.0, f32::NEG_INFINITY]), 0);
+        assert_eq!(max_abs_finite_bits(&[]), 0);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Property-based tests over the format codecs' core invariants.
 
 use proptest::prelude::*;
+use std::sync::Mutex;
 
 use mx_formats::block::{fake_quantize_row, MxBlock, BLOCK_SIZE};
+use mx_formats::kernels::force_scalar;
 use mx_formats::layout::{pack_codes, unpack_codes, PackedMxPlusRow, RowCodec};
 use mx_formats::minifloat::{decode_fp, encode_fp, quantize_fp};
 use mx_formats::mxplus::{MxPlusBlock, MxPlusFormat};
 use mx_formats::mxpp::MxPlusPlusBlock;
-use mx_formats::{ElementType, QuantScheme};
+use mx_formats::{ElementType, MxFormat, QuantScheme};
 
 fn finite_value() -> impl Strategy<Value = f32> {
     // Magnitudes spanning the interesting dynamic range of activations/weights.
@@ -217,6 +219,111 @@ proptest! {
             let codec = RowCodec::for_scheme(scheme);
             prop_assert!(codec.is_bit_packed());
             prop_assert!(codec.packed_bytes(len) < len * 4, "{} len {len}", scheme.name());
+        }
+    }
+}
+
+/// Inputs the fast encoder must agree with the reference on: ordinary activations, wide
+/// magnitudes, exact ties of the small grids, raw bit patterns, f32 subnormals of either
+/// sign, NaN, infinities and signed zeros.
+fn any_encoder_input() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        4 => finite_value(),
+        1 => (-1.0e6_f32..1.0e6),
+        1 => (-32i32..=32).prop_map(|k| k as f32 * 0.125),
+        1 => (0u32..=u32::MAX).prop_map(f32::from_bits),
+        1 => (1u32..=0x80_ffff).prop_map(|b| f32::from_bits(((b & 0x80_0000) << 8) | (b & 0x7f_ffff))),
+        1 => prop_oneof![Just(f32::NAN), Just(f32::INFINITY), Just(f32::NEG_INFINITY), Just(0.0_f32), Just(-0.0_f32)],
+    ]
+}
+
+/// Every scheme with an integer-encoder fast path: MX and MX+ over all element types,
+/// MX++ and NVFP4(+).
+const FAST_PATH_SCHEMES: [QuantScheme; 16] = [
+    QuantScheme::Mx(MxFormat::MXFP4),
+    QuantScheme::Mx(MxFormat::MXFP6_E2M3),
+    QuantScheme::Mx(MxFormat::MXFP6_E3M2),
+    QuantScheme::Mx(MxFormat::MXFP8_E4M3),
+    QuantScheme::Mx(MxFormat::MXFP8_E5M2),
+    QuantScheme::Mx(MxFormat::MXINT8),
+    QuantScheme::Mx(MxFormat::MXINT4),
+    QuantScheme::MxPlus(MxPlusFormat::MXFP4_PLUS),
+    QuantScheme::MxPlus(MxPlusFormat::MXFP6_PLUS),
+    QuantScheme::MxPlus(MxPlusFormat::MXFP8_PLUS),
+    QuantScheme::MxPlus(MxPlusFormat::new(ElementType::E5M2)),
+    QuantScheme::MxPlus(MxPlusFormat::MXINT8_PLUS),
+    QuantScheme::MxPlusPlus(ElementType::E2M1),
+    QuantScheme::MxPlusPlus(ElementType::E4M3),
+    QuantScheme::Nvfp4,
+    QuantScheme::Nvfp4Plus,
+];
+
+/// Serializes the tests that flip the process-global force-scalar switch.
+static FORCE_LOCK: Mutex<()> = Mutex::new(());
+
+/// The fake-quantized bits and the packed row bytes of `values` under `scheme`, with the
+/// force-scalar switch set to `forced`.
+fn outputs_with(forced: bool, scheme: QuantScheme, values: &[f32]) -> (Vec<u32>, Vec<u8>) {
+    force_scalar(forced);
+    let mut out = vec![f32::NAN; values.len()];
+    scheme.quantize_dequantize_into(values, &mut out);
+    let codec = RowCodec::for_scheme(scheme);
+    let mut packed = vec![0xa5_u8; codec.packed_bytes(values.len())];
+    codec.pack_row_into(values, &mut packed);
+    (out.iter().map(|v| v.to_bits()).collect(), packed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The integer encoder and the banded/table fast paths are bit-exact against the
+    /// forced-scalar reference for every fast-path scheme and every row length 1..=64
+    /// (so every tail length of the 16- and 32-element blocks): both the fake-quantized
+    /// row and the packed bytes, reached from either force state.
+    #[test]
+    fn fast_path_matches_forced_scalar_reference(values in prop::collection::vec(any_encoder_input(), 64)) {
+        let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        for scheme in FAST_PATH_SCHEMES {
+            for len in 1..=values.len() {
+                let row = &values[..len];
+                let fast = outputs_with(false, scheme, row);
+                let reference = outputs_with(true, scheme, row);
+                let fast_again = outputs_with(false, scheme, row);
+                force_scalar(false);
+                prop_assert_eq!(&fast, &reference, "{} len {}", scheme.name(), len);
+                prop_assert_eq!(&fast, &fast_again, "{} len {}", scheme.name(), len);
+            }
+        }
+    }
+
+    /// The banded column cast equals transposing, quantizing rows and transposing back,
+    /// fast or forced-scalar, including partial bands and special values.
+    #[test]
+    fn column_cast_matches_transposed_rows(
+        values in prop::collection::vec(any_encoder_input(), 1..=280),
+        cols in 1usize..=4,
+    ) {
+        let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let rows = values.len() / cols;
+        prop_assume!(rows > 0);
+        let data = &values[..rows * cols];
+        for scheme in [QuantScheme::mxfp4(), QuantScheme::mxfp4_plus(), QuantScheme::mxfp8_plus(), QuantScheme::mxint8()] {
+            let mut expected = vec![0.0_f32; data.len()];
+            for c in 0..cols {
+                let column: Vec<f32> = (0..rows).map(|r| data[r * cols + c]).collect();
+                for (r, q) in scheme.quantize_dequantize(&column).into_iter().enumerate() {
+                    expected[r * cols + c] = q;
+                }
+            }
+            let expected: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();
+            for forced in [false, true] {
+                force_scalar(forced);
+                let mut out = vec![f32::NAN; data.len()];
+                scheme.quantize_dequantize_columns_into(data, cols, &mut out);
+                force_scalar(false);
+                let out: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(&out, &expected, "{} forced {}", scheme.name(), forced);
+            }
         }
     }
 }

@@ -192,25 +192,16 @@ impl Matrix {
 
     /// Returns a copy with every column fake-quantized by `scheme` (blocking along the
     /// reduction dimension of a weight matrix). Bit-identical to
-    /// `self.transpose().quantize_rows(scheme).transpose()` but quantizes column blocks
-    /// through one reusable scratch buffer instead of materializing two transposed copies.
+    /// `self.transpose().quantize_rows(scheme).transpose()` without materializing either
+    /// transposed copy: MX and MX+ take the banded column cast of
+    /// [`QuantScheme::quantize_dequantize_columns_into`].
     #[must_use]
     pub fn quantize_columns(&self, scheme: QuantScheme) -> Matrix {
-        if scheme == QuantScheme::Fp32 {
+        if scheme == QuantScheme::Fp32 || self.cols == 0 {
             return self.clone();
         }
         let mut out = Matrix::zeros(self.rows, self.cols);
-        let mut column = vec![0.0_f32; self.rows];
-        let mut quantized = vec![0.0_f32; self.rows];
-        for c in 0..self.cols {
-            for (r, slot) in column.iter_mut().enumerate() {
-                *slot = self.data[r * self.cols + c];
-            }
-            scheme.quantize_dequantize_into(&column, &mut quantized);
-            for (r, &q) in quantized.iter().enumerate() {
-                out.data[r * self.cols + c] = q;
-            }
-        }
+        scheme.quantize_dequantize_columns_into(&self.data, self.cols, &mut out.data);
         out
     }
 
