@@ -4,13 +4,15 @@
 //!
 //! The `--json <path>` mode replaces the criterion run with deterministic hand-timed
 //! sweeps (best-of-N over fixed iteration counts) and writes one throughput entry per
-//! label — `pack_4bit`, `unpack_6bit`, `encode_mxfp4`, `fused_attention_decode`, ... —
-//! each carrying the dispatched `throughput`, the `scalar_throughput` reference, and
-//! their ratio. The committed `BENCH_kernels.json` baseline and the CI artifact both come
-//! from here; `bench_gate` compares the `throughput` field of every baseline label at the
-//! same -15% tolerance as the serving snapshot (the encode labels are not in the
-//! baseline, so they are reported but not gated).
+//! label — `pack_4bit`, `unpack_6bit`, `encode_mxfp4`, `matmul_packed_gemv`,
+//! `fused_attention_decode`, ... — each carrying the dispatched `throughput`, the
+//! `scalar_throughput` reference, and their ratio. The committed `BENCH_kernels.json`
+//! baseline and the CI artifact both come from here; `bench_gate` compares the
+//! `throughput` field of every baseline label at the same -15% tolerance as the serving
+//! snapshot (the encode and packed-matmul labels are not in the baseline, so they are
+//! reported but not gated).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
@@ -20,7 +22,10 @@ use mx_formats::kernels::{
 };
 use mx_formats::layout::RowCodec;
 use mx_formats::QuantScheme;
+use mx_llm::weights::ModelWeights;
 use mx_llm::{ModelConfig, ModelQuantConfig, ServingEngine, SubmitOptions, TransformerModel};
+use mx_tensor::synth::ActivationProfile;
+use mx_tensor::{Matrix, PackedMatrix};
 
 /// Codes per pack/unpack call: large enough that the SIMD prefix dominates the tail.
 const CODES: usize = 1 << 16;
@@ -119,7 +124,8 @@ fn best_seconds(mut f: impl FnMut(), iters: usize, reps: usize) -> f64 {
 
 /// The `--json` snapshot workload: per-width pack/unpack throughput (dispatched vs
 /// scalar, codes/sec), MXFP4/MXFP4+ row encode (integer vs reference encoder,
-/// elements/sec) and the fused-vs-materializing paged decode (tokens/sec).
+/// elements/sec), packed-weight GEMV/GEMM (vs `Matrix::matmul`, MACs/sec) and the
+/// fused-vs-materializing paged decode (tokens/sec).
 fn kernels_snapshot() -> String {
     let mut entries = Vec::new();
     println!("kernel snapshot: dispatch backend `{}`", active_backend().name());
@@ -170,6 +176,42 @@ fn kernels_snapshot() -> String {
             "{label}: {:.1} ns/element, {:.1}x the reference encoder",
             fast * 1e9 / ENCODE_ROW as f64,
             reference / fast
+        );
+    }
+
+    // Packed MXFP4 weights (4-bit codes decoded in registers) against the reference
+    // `Matrix::matmul` on the dequantized weights, over the 29 weight matrices of the
+    // Llama-3.1-8B analogue with MXFP4+ activations: one row (decode GEMV) and 64 rows
+    // (prefill GEMM). Bit identity is asserted before timing. Reported in the snapshot
+    // only; the committed baseline does not gate these labels.
+    let weights = ModelWeights::generate(&ModelConfig::llama31_8b());
+    let mats: Vec<&Matrix> = weights
+        .layers
+        .iter()
+        .flat_map(|l| [&l.wq, &l.wk, &l.wv, &l.wo, &l.w_gate, &l.w_up, &l.w_down])
+        .chain([&weights.lm_head])
+        .collect();
+    let cast: Vec<Matrix> = mats.iter().map(|w| w.quantize_columns(QuantScheme::mxfp4())).collect();
+    let packed: Vec<PackedMatrix> = mats.iter().map(|w| PackedMatrix::new(w, QuantScheme::mxfp4())).collect();
+    for (label, rows, iters) in [("matmul_packed_gemv", 1, 32), ("matmul_packed_gemm64", 64, 2)] {
+        let inputs: Vec<Matrix> = mats
+            .iter()
+            .map(|w| ActivationProfile::llm(w.rows(), 3).sample(rows, 4).quantize_rows(QuantScheme::mxfp4_plus()))
+            .collect();
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for ((x, c), p) in inputs.iter().zip(&cast).zip(&packed) {
+            assert_eq!(bits(&x.matmul_packed(p)), bits(&x.matmul(c)), "{label}: packed matmul diverges");
+        }
+        let pairs = || inputs.iter().zip(cast.iter().zip(&packed));
+        let macs: usize = mats.iter().map(|w| rows * w.rows() * w.cols()).sum();
+        let fast = best_seconds(|| pairs().for_each(|(x, (_, p))| drop(black_box(x.matmul_packed(p)))), iters, 5);
+        let dense = best_seconds(|| pairs().for_each(|(x, (c, _))| drop(black_box(x.matmul(c)))), iters, 5);
+        let per_sec = |s: f64| macs as f64 / s;
+        entries.push(mx_bench::snapshot::kernel_entry_json(label, "macs", per_sec(fast), per_sec(dense)));
+        println!(
+            "{label}: {:.3} ms per pass over the model's weights, {:.2}x Matrix::matmul",
+            fast * 1e3,
+            dense / fast
         );
     }
 

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use crate::element::ElementType;
 use crate::encode::{with_codec, BlockScale, ElementCodec};
 use crate::error::FormatError;
-use crate::minifloat;
+use crate::kernels;
 use crate::scale::SharedScale;
 
 /// Number of elements per MX block as defined by the OCP specification.
@@ -112,13 +112,9 @@ impl MxBlock {
             return;
         }
         let s = self.scale.value();
+        let table = kernels::decode_table(self.element);
         for (o, &c) in out.iter_mut().zip(&self.codes) {
-            let e = if self.element.is_int() {
-                minifloat::decode_int(self.element, c)
-            } else {
-                minifloat::decode_fp(self.element, c)
-            };
-            *o = e * s;
+            *o = table[usize::from(c)] * s;
         }
     }
 

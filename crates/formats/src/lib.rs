@@ -73,6 +73,7 @@ pub mod topk;
 
 pub use bf16::Bf16;
 pub use block::{MxBlock, BLOCK_SIZE};
+pub use columns::EncodedRow;
 pub use element::ElementType;
 pub use error::FormatError;
 pub use layout::RowCodec;

@@ -15,7 +15,7 @@ use crate::block::BLOCK_SIZE;
 use crate::element::ElementType;
 use crate::encode::{with_codec, BlockScale, ElementCodec};
 use crate::error::FormatError;
-use crate::minifloat;
+use crate::kernels;
 use crate::scale::{SharedScale, MIN_SHARED_EXP};
 
 /// A quantized MX+ block.
@@ -139,15 +139,10 @@ impl MxPlusBlock {
             return;
         }
         let s = self.scale.value();
+        let (table, bm_table) = (kernels::decode_table(self.element), kernels::bm_decode_table(self.element));
         for (i, (o, &c)) in out.iter_mut().zip(&self.codes).enumerate() {
-            let e = if i == usize::from(self.bm_index) {
-                minifloat::decode_bm_extended(self.element, c)
-            } else if self.element.is_int() {
-                minifloat::decode_int(self.element, c)
-            } else {
-                minifloat::decode_fp(self.element, c)
-            };
-            *o = e * s;
+            let t = if i == usize::from(self.bm_index) { bm_table } else { table };
+            *o = t[usize::from(c)] * s;
         }
     }
 
@@ -436,8 +431,8 @@ mod tests {
             // BM_H + BM_L == dequantized BM (in the real domain).
             assert!(((h + l) * s - bm_deq).abs() < 1e-5, "v={v}");
             // Both parts are exactly representable in plain E2M1.
-            assert_eq!(minifloat::quantize_fp(ElementType::E2M1, h), h, "BM_H for {v}");
-            assert_eq!(minifloat::quantize_fp(ElementType::E2M1, l), l, "BM_L for {v}");
+            assert_eq!(crate::minifloat::quantize_fp(ElementType::E2M1, h), h, "BM_H for {v}");
+            assert_eq!(crate::minifloat::quantize_fp(ElementType::E2M1, l), l, "BM_L for {v}");
         }
     }
 

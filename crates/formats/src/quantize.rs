@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::bf16::round_to_bf16;
 use crate::block::BLOCK_SIZE;
-use crate::columns;
+use crate::columns::{self, EncodedRow};
 use crate::element::ElementType;
 use crate::encode::ElementCodec;
 use crate::msfp::MsfpFormat;
@@ -240,6 +240,34 @@ impl QuantScheme {
                 }
             }
         }
+    }
+
+    /// Encodes every column of the row-major `data` (`cols` wide) into MX or MX+ element
+    /// codes and shared scales, blocked down the columns exactly as
+    /// [`QuantScheme::quantize_dequantize_columns_into`] blocks them, and hands the rows
+    /// to `visit` in order (see [`EncodedRow`] for how they decode). This is the banded
+    /// cast without the decode: a packed weight operand is built from it without an
+    /// `f32` copy of the cast matrix. Always runs the bit-pattern encoder, whose codes
+    /// the forced-scalar reference reproduces bit for bit.
+    ///
+    /// Returns `false`, visiting nothing, for schemes other than MX and MX+.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols == 0` while `data` is non-empty, or if `data.len()` is not a
+    /// multiple of `cols`.
+    pub fn encode_columns(&self, data: &[f32], cols: usize, visit: impl FnMut(EncodedRow<'_>)) -> bool {
+        let (element, block_size, plus) = match self {
+            QuantScheme::Mx(f) => (f.element, f.block_size, false),
+            QuantScheme::MxPlus(f) => (f.element, f.block_size, true),
+            _ => return false,
+        };
+        if data.is_empty() {
+            return true;
+        }
+        assert!(cols > 0 && data.len().is_multiple_of(cols), "data must hold whole rows of {cols} columns");
+        columns::encode_columns(&ElementCodec::<false>::new(element), block_size, plus, data, cols, visit);
+        true
     }
 
     /// Average storage bits per element of the scheme (used by the bandwidth model).

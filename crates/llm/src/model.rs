@@ -9,7 +9,7 @@
 //! is preserved behind [`DecodePath::SeedClone`] as a bit-identical regression baseline
 //! and as the "before" arm of the decode benchmark.
 
-use mx_tensor::{kernels, Matrix};
+use mx_tensor::{kernels, Matrix, PackedMatrix};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{MlpKind, ModelConfig, NormKind};
@@ -33,21 +33,23 @@ pub enum DecodePath {
 /// Per-layer weights after the one-time direct cast with the configured weight schemes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CastLayerWeights {
-    wq: Matrix,
-    wk: Matrix,
-    wv: Matrix,
-    wo: Matrix,
-    w_gate: Matrix,
-    w_up: Matrix,
-    w_down: Matrix,
+    wq: PackedMatrix,
+    wk: PackedMatrix,
+    wv: PackedMatrix,
+    wo: PackedMatrix,
+    w_gate: PackedMatrix,
+    w_up: PackedMatrix,
+    w_down: PackedMatrix,
 }
 
 /// All weight operands quantized once (column-blocked along the reduction dimension),
-/// exactly as `matmul_quantized` would per call — precomputing them is bit-identical.
+/// exactly as `matmul_quantized` would per call, and held packed: 4-bit codes under
+/// MXFP4/MXFP4+, dequantized panels otherwise. Multiplying by them is bit-identical to
+/// multiplying by the per-call cast.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CastWeights {
     layers: Vec<CastLayerWeights>,
-    lm_head: Matrix,
+    lm_head: PackedMatrix,
 }
 
 impl CastWeights {
@@ -58,17 +60,28 @@ impl CastWeights {
                 .layers
                 .iter()
                 .map(|lw| CastLayerWeights {
-                    wq: lw.wq.quantize_columns(w),
-                    wk: lw.wk.quantize_columns(w),
-                    wv: lw.wv.quantize_columns(w),
-                    wo: lw.wo.quantize_columns(w),
-                    w_gate: lw.w_gate.quantize_columns(w),
-                    w_up: lw.w_up.quantize_columns(w),
-                    w_down: lw.w_down.quantize_columns(w),
+                    wq: PackedMatrix::new(&lw.wq, w),
+                    wk: PackedMatrix::new(&lw.wk, w),
+                    wv: PackedMatrix::new(&lw.wv, w),
+                    wo: PackedMatrix::new(&lw.wo, w),
+                    w_gate: PackedMatrix::new(&lw.w_gate, w),
+                    w_up: PackedMatrix::new(&lw.w_up, w),
+                    w_down: PackedMatrix::new(&lw.w_down, w),
                 })
                 .collect(),
-            lm_head: weights.lm_head.quantize_columns(quant.lm_head.weights),
+            lm_head: PackedMatrix::new(&weights.lm_head, quant.lm_head.weights),
         }
+    }
+
+    /// Bytes of packed weight storage.
+    fn bytes(&self) -> usize {
+        let layer = |l: &CastLayerWeights| {
+            [&l.wq, &l.wk, &l.wv, &l.wo, &l.w_gate, &l.w_up, &l.w_down]
+                .iter()
+                .map(|w| w.resident_bytes())
+                .sum::<usize>()
+        };
+        self.layers.iter().map(layer).sum::<usize>() + self.lm_head.resident_bytes()
     }
 }
 
@@ -113,6 +126,15 @@ impl TransformerModel {
     #[must_use]
     pub fn weights(&self) -> &ModelWeights {
         &self.weights
+    }
+
+    /// Bytes of the direct-cast weight operands the forward pass multiplies by: 4-bit
+    /// codes plus scales under MXFP4/MXFP4+ weights, `f32` panels under other schemes.
+    /// The unquantized [`ModelWeights`] (kept for [`TransformerModel::set_quant`] and the
+    /// reference paths) are not counted.
+    #[must_use]
+    pub fn weight_bytes(&self) -> usize {
+        self.cast.bytes()
     }
 
     /// Changes the quantization configuration. The unquantized weights are retained, so
@@ -201,7 +223,7 @@ impl TransformerModel {
             x = self.layer_forward_backend(layer, &x, start_pos, cache, scratch);
         }
         let normed = self.apply_norm(&x, &self.weights.final_norm_gain, &self.weights.final_norm_bias);
-        normed.quantize_rows(self.quant.lm_head.activations).matmul(&self.cast.lm_head)
+        normed.quantize_rows(self.quant.lm_head.activations).matmul_packed(&self.cast.lm_head)
     }
 
     /// The seed's clone-based forward pass (see [`DecodePath::SeedClone`]).
@@ -468,7 +490,7 @@ impl TransformerModel {
             // Quantize the shared activation operand once for all three projections
             // and multiply against the pre-cast weights.
             let a = normed.quantize_rows(self.quant.linear.activations);
-            (a.matmul(&cast.wq), a.matmul(&cast.wk), a.matmul(&cast.wv))
+            (a.matmul_packed(&cast.wq), a.matmul_packed(&cast.wk), a.matmul_packed(&cast.wv))
         };
         self.apply_rotary(&mut q, &mut k, start_pos);
 
@@ -483,19 +505,19 @@ impl TransformerModel {
         self.attention_zero_copy(&mut reader, &q, start_pos, &mut attn_out);
         drop(reader);
 
-        let attn_proj = attn_out.quantize_rows(self.quant.linear.activations).matmul(&cast.wo);
+        let attn_proj = attn_out.quantize_rows(self.quant.linear.activations).matmul_packed(&cast.wo);
         let x = x.add(&attn_proj);
 
         // --- MLP ---
         let normed = self.apply_norm(&x, &lw.mlp_norm_gain, &lw.mlp_norm_bias);
-        let project = |cast_w: &Matrix, activations: &Matrix| {
-            activations.quantize_rows(self.quant.linear.activations).matmul(cast_w)
+        let project = |cast_w: &PackedMatrix, activations: &Matrix| {
+            activations.quantize_rows(self.quant.linear.activations).matmul_packed(cast_w)
         };
         let mlp_out = match cfg.mlp {
             MlpKind::GatedSilu => {
                 let (gate, up) = {
                     let a = normed.quantize_rows(self.quant.linear.activations);
-                    (a.matmul(&cast.w_gate), a.matmul(&cast.w_up))
+                    (a.matmul_packed(&cast.w_gate), a.matmul_packed(&cast.w_up))
                 };
                 project(&cast.w_down, &self.gated_silu_hidden(&gate, &up))
             }
@@ -754,6 +776,19 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 6);
         assert!(a.iter().all(|&t| t < model.config().vocab));
+    }
+
+    #[test]
+    fn weight_bytes_are_packed_codes_under_mxfp4_and_f32_under_bf16() {
+        let f32_bytes = |model: &TransformerModel| {
+            let w = model.weights();
+            let layers = w.layers.iter().flat_map(|l| [&l.wq, &l.wk, &l.wv, &l.wo, &l.w_gate, &l.w_up, &l.w_down]);
+            layers.chain([&w.lm_head]).map(|m| std::mem::size_of_val(m.data())).sum::<usize>()
+        };
+        let packed = TransformerModel::new(ModelConfig::llama31_8b(), ModelQuantConfig::a_mxfp4_plus());
+        assert!(packed.weight_bytes() * 32 <= f32_bytes(&packed) * 9 / 2, "at most 4.5 bits per weight");
+        let bf16 = TransformerModel::new(ModelConfig::llama31_8b(), ModelQuantConfig::BASELINE);
+        assert_eq!(bf16.weight_bytes(), f32_bytes(&bf16));
     }
 
     #[test]

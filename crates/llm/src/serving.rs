@@ -487,6 +487,10 @@ pub struct ServingReport {
     pub resident_bytes: usize,
     /// Full-cache materializations observed across all caches (0 on the hot paths).
     pub cache_materializations: usize,
+    /// Bytes of the model's direct-cast weight operands, as the forward pass holds them
+    /// ([`TransformerModel::weight_bytes`]): 4-bit codes plus scales under MXFP4/MXFP4+
+    /// weights, `f32` panels otherwise.
+    pub weight_bytes: usize,
     /// Per-request latency quantiles (TTFT, TPOT, scheduler-pass wall time and admission
     /// queue-wait), built from always-on histograms — populated whether or not event
     /// tracing ([`ServingEngine::with_telemetry`]) is enabled.
@@ -1446,6 +1450,7 @@ impl<'m> ServingEngine<'m> {
             theoretical_bytes: theoretical(scheme),
             theoretical_bytes_fp32: theoretical(QuantScheme::Fp32),
             resident_bytes: stats.peak_resident,
+            weight_bytes: self.model.weight_bytes(),
             cache_materializations: self
                 .sequences
                 .iter()
@@ -2028,6 +2033,7 @@ mod tests {
         assert_eq!(report.resident_bytes, 2 * 2 * (9 + 7) * 64 * 4);
         assert!(report.resident_bytes >= report.theoretical_bytes_fp32);
         assert!(report.resident_compression() <= 1.0 + 1e-9);
+        assert_eq!(report.weight_bytes, model.weight_bytes());
         assert!(report.decode_tokens_per_sec > 0.0);
         // The new timing fields are populated and self-consistent.
         assert!(report.wall_seconds > 0.0);

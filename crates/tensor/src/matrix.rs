@@ -3,6 +3,8 @@
 use mx_formats::quantize::{MatmulQuantConfig, QuantScheme};
 use serde::{Deserialize, Serialize};
 
+use crate::packed::PackedMatrix;
+
 /// A dense, row-major matrix of `f32` values.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
@@ -159,6 +161,18 @@ impl Matrix {
             }
         }
         out
+    }
+
+    /// `self (m x k) * rhs (k x n)` against a packed weight operand, bit-identical to
+    /// `self.matmul(&w.quantize_columns(scheme))` for the `w` and `scheme` that built
+    /// `rhs` (see [`PackedMatrix`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the inner dimensions do not match.
+    #[must_use]
+    pub fn matmul_packed(&self, rhs: &PackedMatrix) -> Matrix {
+        rhs.left_multiply(self)
     }
 
     /// Matrix multiplication with both operands fake-quantized row-wise (along the

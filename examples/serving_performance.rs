@@ -20,10 +20,11 @@ fn measured_serving() {
     println!("\nMeasured: batched serving on the scaled-down {} analogue", cfg.name);
     println!("4 sequences x 16 prompt tokens x 48 generated tokens, per-sequence KV caches");
     println!("(theoretical = scheme-math bytes; the f32 backend actually holds 32-bit rows;");
-    println!(" decode tok/s is the summed per-worker rate, wall tok/s the end-to-end throughput)\n");
+    println!(" decode tok/s is the summed per-worker rate, wall tok/s the end-to-end throughput;");
+    println!(" weight KiB is the resident direct-cast weights: 4-bit codes + scales under MXFP4)\n");
     println!(
-        "{:>16} {:>12} {:>12} {:>14} {:>12} {:>8}",
-        "config", "decode tok/s", "wall tok/s", "theory KiB", "vs FP32", "clones"
+        "{:>16} {:>12} {:>12} {:>14} {:>12} {:>8} {:>11}",
+        "config", "decode tok/s", "wall tok/s", "theory KiB", "vs FP32", "clones", "weight KiB"
     );
     for quant in [
         ModelQuantConfig::BASELINE,
@@ -39,13 +40,14 @@ fn measured_serving() {
         }
         let report = engine.run();
         println!(
-            "{:>16} {:>12.0} {:>12.0} {:>14.1} {:>11.1}x {:>8}",
+            "{:>16} {:>12.0} {:>12.0} {:>14.1} {:>11.1}x {:>8} {:>11.1}",
             quant.name(),
             report.decode_tokens_per_sec,
             report.tokens_per_sec_parallel,
             report.theoretical_bytes as f64 / 1024.0,
             report.theoretical_compression(),
-            report.cache_materializations
+            report.cache_materializations,
+            report.weight_bytes as f64 / 1024.0
         );
     }
 
