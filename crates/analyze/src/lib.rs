@@ -7,14 +7,14 @@
 //! |---------------------|---------------------------------------------------------------------|
 //! | `no-panics`         | no `unwrap`/`expect`/`panic!`/`todo!` in library code               |
 //! | `atomic-ordering`   | no `Ordering::Relaxed` on refcount `fetch_sub`/`compare_exchange`   |
-//! | `deprecated-submit` | no internal call sites of the deprecated `submit*` wrappers         |
 //! | `send-sync-audit`   | every `pub` type in `paging.rs`/`serving.rs` is `assert_send_sync`-covered |
+//! | `unsafe-safety-comment` | every `unsafe` in library code is preceded by a `// SAFETY:` comment |
 //! | `page-lifecycle`    | page bindings from `reserve`/`alloc*`/`share_prefix`: no double-free, no use-after-free, no leak on any path |
 //! | `guard-liveness`    | `.state()`/`.lock()` guards never live across pack/unpack/forward/decode hot calls, on any CFG path |
 //! | `must-release`      | every `reserve` binding reaches a release or handoff on every path  |
 //! | `meta-unused-allow` | suppression comments must silence something and carry a `reason:`   |
 //!
-//! The first four are token-stream passes; the last four run on a real parse: a
+//! The first four are token-stream passes; the next three run on a real parse: a
 //! dependency-free recursive-descent parser lowers every function body to an AST
 //! ([`ast`], [`parser`]), a CFG is built per function, and a forward abstract
 //! interpreter runs each dataflow pass to a fixpoint ([`dataflow`]). See

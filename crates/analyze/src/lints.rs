@@ -1,7 +1,7 @@
 //! The workspace lint rules and the engine that runs them.
 //!
 //! Two layers share the lexed token stream. The *token passes* (`no-panics`,
-//! `atomic-ordering`, `deprecated-submit`, `send-sync-audit`) stay simple pattern
+//! `atomic-ordering`, `send-sync-audit`, `unsafe-safety-comment`) stay simple pattern
 //! matchers. The *dataflow passes* (`page-lifecycle`, `guard-liveness`,
 //! `must-release`) parse every function body ([`crate::parser`]) and run forward
 //! abstract interpretation over its CFG ([`crate::dataflow`]), so they see real
@@ -29,8 +29,6 @@ pub enum Rule {
     /// L3: no `Ordering::Relaxed` on `fetch_sub`/`compare_exchange` over refcount
     /// fields — the drop-to-pool path needs `Release`/`Acquire`.
     AtomicOrdering,
-    /// L4: no internal call sites of the deprecated `submit*` wrappers.
-    DeprecatedSubmit,
     /// L5: every `pub` type declared in `paging.rs`/`serving.rs`/`fault.rs` must appear
     /// in the compile-time `assert_send_sync` audit list.
     SendSyncAudit,
@@ -57,7 +55,6 @@ impl Rule {
         match self {
             Rule::NoPanics => "no-panics",
             Rule::AtomicOrdering => "atomic-ordering",
-            Rule::DeprecatedSubmit => "deprecated-submit",
             Rule::SendSyncAudit => "send-sync-audit",
             Rule::PageLifecycle => "page-lifecycle",
             Rule::GuardLiveness => "guard-liveness",
@@ -126,8 +123,6 @@ pub struct Report {
 struct FileClass {
     /// Library code: under a crate's `src/` (or the root `src/`), excluding `src/bin/`.
     library: bool,
-    /// The file that *defines* the deprecated submit wrappers (exempt from L4).
-    deprecated_home: bool,
     /// A concurrency module: feeds the L5 audit and the L6/L8 lifecycle passes.
     concurrency_module: bool,
 }
@@ -141,7 +136,6 @@ fn classify(path: &Path) -> FileClass {
         // `src/bin/` binaries are exempt like examples: they are figure drivers, not
         // library surface.
         library: in_src && !has("bin") && !has("tests") && !has("examples") && !has("benches"),
-        deprecated_home: in_src && file_name == "serving.rs",
         concurrency_module: in_src
             && (file_name == "paging.rs" || file_name == "serving.rs" || file_name == "fault.rs"),
     }
@@ -347,7 +341,6 @@ fn in_regions(regions: &[(usize, usize)], i: usize) -> bool {
 const PANIC_MACROS: [&str; 3] = ["panic", "todo", "unimplemented"];
 const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
 const ORDERING_OPS: [&str; 3] = ["fetch_sub", "compare_exchange", "compare_exchange_weak"];
-const DEPRECATED_SUBMITS: [&str; 3] = ["submit", "submit_with_stop", "submit_with_sampling"];
 
 /// Does `field` look like a refcount (L3)?
 fn is_refcount_field(field: &str) -> bool {
@@ -361,7 +354,7 @@ fn is_refcount_field(field: &str) -> bool {
         || lower.ends_with("_rc")
 }
 
-/// The token-stream passes: L2 no-panics, L3 atomic-ordering, L4 deprecated-submit,
+/// The token-stream passes: L2 no-panics, L3 atomic-ordering, L9 unsafe-safety-comment,
 /// and the L5 declaration/coverage collection.
 fn check_tokens(
     path: &Path,
@@ -433,16 +426,6 @@ fn check_tokens(
                     );
                 }
             }
-        }
-
-        // L4: deprecated submit wrappers (method calls only), outside their home.
-        if !class.deprecated_home && prev_dot && next_paren && DEPRECATED_SUBMITS.contains(&name) {
-            push(
-                findings,
-                tok,
-                Rule::DeprecatedSubmit,
-                format!("deprecated wrapper `.{name}()`; use `submit_with(prompt, SubmitOptions::new(..))`"),
-            );
         }
 
         // L5: collect pub type declarations and assert_send_sync coverage.

@@ -139,19 +139,6 @@ fn atomic_ordering_must_not_fire() {
 }
 
 #[test]
-fn deprecated_submit_must_fire() {
-    let findings = check(&["src/deprecated_fire.rs"]);
-    assert_eq!(lines_of(&findings, "deprecated-submit"), vec![5, 6, 7], "findings: {findings:?}");
-    assert_eq!(findings.len(), 3);
-}
-
-#[test]
-fn deprecated_submit_must_not_fire() {
-    let findings = check(&["src/deprecated_clean.rs"]);
-    assert!(findings.is_empty(), "findings: {findings:?}");
-}
-
-#[test]
 fn send_sync_audit_must_fire_on_uncovered_pub_type() {
     // Without the coverage file, both pub types are uncovered; with it, only
     // `NotAudited` fires — and private/pub(crate)/cfg(test) types never do.
@@ -212,7 +199,7 @@ fn suppression_comments_silence_every_rule_and_carry_reasons() {
     let files = vec![fixture("src/suppressed.rs")];
     let report = analyze_sources(&files);
     assert!(report.findings.is_empty(), "suppressions ignored: {:?}", report.findings);
-    assert_eq!(report.suppressed.len(), 6, "suppressed: {:?}", report.suppressed);
+    assert_eq!(report.suppressed.len(), 5, "suppressed: {:?}", report.suppressed);
     for s in &report.suppressed {
         let reason = s.reason.as_deref().unwrap_or_else(|| panic!("missing reason: {:?}", s.finding));
         assert!(!reason.is_empty(), "empty reason: {:?}", s.finding);
@@ -280,7 +267,6 @@ fn cli_exits_nonzero_on_must_fire_fixtures() {
         "must-release",
         "meta-unused-allow",
         "atomic-ordering",
-        "deprecated-submit",
         "send-sync-audit",
         "src/unsafe_fire.rs:5:5: unsafe-safety-comment:",
     ] {

@@ -1,17 +1,15 @@
 //! Criterion benchmark of the decode hot path under the paper's headline serving
-//! configuration (A-MXFP4+, W-MXFP4): the zero-copy engine vs the seed's decode path.
+//! configuration (A-MXFP4+, W-MXFP4).
 //!
-//! The `view` arm (`DecodePath::ZeroCopy`) reads cached keys/values through borrowed row
-//! slices, reuses scratch buffers, and multiplies against weights direct-cast once. The
-//! `clone` arm (`DecodePath::SeedClone`) reproduces the seed's behaviour: the whole
-//! `len x kv_dim` cache is materialized per tensor per layer per step (O(T²) per decoded
-//! sequence) and every weight operand is re-quantized on every projection. Both arms
-//! produce bit-identical logits (pinned by tests in `mx-llm`); only the per-token work
-//! differs.
+//! `decode_per_token/view` decodes on top of an `f32` [`KvCache`] of 64/256/512
+//! positions through [`TransformerModel::forward`]: cached keys/values are read through
+//! borrowed row slices and every projection multiplies against weights direct-cast once.
+//! The serving groups run the batched engine on the same model, at one thread and
+//! across a thread-count sweep.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use mx_llm::model::argmax;
-use mx_llm::{DecodePath, KvCache, ModelConfig, ModelQuantConfig, ServingEngine, SubmitOptions, TransformerModel};
+use mx_llm::{KvCache, ModelConfig, ModelQuantConfig, ServingEngine, SubmitOptions, TransformerModel};
 
 /// Tokens decoded per measured iteration (amortizes the per-iteration cache clone).
 const DECODE_TOKENS: usize = 16;
@@ -27,35 +25,32 @@ fn cache_at(model: &TransformerModel, seq_len: usize) -> KvCache {
         model.config().head_dim() * model.config().kv_heads,
         seq_len + DECODE_TOKENS + 1,
     );
-    let logits = model.forward(&[1], &mut cache);
-    let mut next = argmax(logits.row(0));
+    let mut next = 1;
     while cache.seq_len() < seq_len {
-        next = argmax(&model.decode_step(next, &mut cache));
+        next = argmax(model.forward(&[next], &mut cache, &mut ()).row(0));
     }
     cache
 }
 
-fn decode_view_vs_clone(c: &mut Criterion) {
+fn decode_per_token(c: &mut Criterion) {
     let model = bench_model();
     let mut group = c.benchmark_group("decode_per_token");
     group.sample_size(20);
     for seq_len in [64usize, 256, 512] {
         let base = cache_at(&model, seq_len);
-        for (label, mode) in [("view", DecodePath::ZeroCopy), ("clone", DecodePath::SeedClone)] {
-            group.bench_with_input(BenchmarkId::new(label, seq_len), &base, |b, base| {
-                b.iter(|| {
-                    let mut cache = base.clone();
-                    // Vec::clone keeps capacity == len; restore decode headroom so the
-                    // measured loop never pays a growth reallocation (in either arm).
-                    cache.reserve(DECODE_TOKENS + 1);
-                    let mut next = 2usize;
-                    for _ in 0..DECODE_TOKENS {
-                        next = argmax(&model.decode_step_with_path(next, &mut cache, mode));
-                    }
-                    next
-                });
+        group.bench_with_input(BenchmarkId::new("view", seq_len), &base, |b, base| {
+            b.iter(|| {
+                let mut cache = base.clone();
+                // Vec::clone keeps capacity == len; restore decode headroom so the
+                // measured loop never pays a growth reallocation.
+                cache.reserve(DECODE_TOKENS + 1);
+                let mut next = 2usize;
+                for _ in 0..DECODE_TOKENS {
+                    next = argmax(model.forward(&[next], &mut cache, &mut ()).row(0));
+                }
+                next
             });
-        }
+        });
     }
     group.finish();
 }
@@ -71,9 +66,7 @@ fn batched_serving(c: &mut Criterion) {
                 let prompt: Vec<usize> = (0..8).map(|i| (s * 8 + i) % 128).collect();
                 engine.submit_with(&prompt, SubmitOptions::new(32));
             }
-            let report = engine.run();
-            assert_eq!(report.cache_materializations, 0);
-            report.generated_tokens
+            engine.run().generated_tokens
         });
     });
     group.finish();
@@ -128,7 +121,7 @@ fn serving_snapshot() -> String {
     mx_bench::snapshot::document_json("decode_serving", &entries)
 }
 
-criterion_group!(benches, decode_view_vs_clone, batched_serving, serving_thread_scaling);
+criterion_group!(benches, decode_per_token, batched_serving, serving_thread_scaling);
 
 fn main() {
     // `--json <path>` replaces the criterion run with one deterministic serving sweep

@@ -46,8 +46,9 @@ fn kv_rows(kv_dim: usize, seq_len: usize) -> Vec<(Vec<f32>, Vec<f32>)> {
     (0..seq_len).map(|t| (gen(t * 3 + 1), gen(t * 5 + 2))).collect()
 }
 
-/// Appends every row to `cache` and decodes `DECODE_TOKENS` tokens through the generic
-/// zero-copy path (identical code for both backends; only the storage differs).
+/// Appends every row to `cache` and decodes `DECODE_TOKENS` tokens through
+/// [`TransformerModel::forward`] (identical code for both backends; only the storage
+/// differs).
 fn fill_and_decode<B: KvBackend>(model: &TransformerModel, cache: &mut B, rows: &[(Vec<f32>, Vec<f32>)]) -> usize {
     let scheme = model.quant().kv_cache;
     for (k, v) in rows {
@@ -55,9 +56,10 @@ fn fill_and_decode<B: KvBackend>(model: &TransformerModel, cache: &mut B, rows: 
             cache.append(layer, k, v, scheme);
         }
     }
+    let mut scratch = B::Scratch::default();
     let mut next = 1usize;
     for _ in 0..DECODE_TOKENS {
-        next = argmax(&model.decode_step_backend(next, cache));
+        next = argmax(model.forward(&[next], cache, &mut scratch).row(0));
     }
     next
 }

@@ -4,15 +4,11 @@
 //! products (attention scores and attention-weighted sums) and are therefore quantized
 //! with the same scheme as other dot-product operands.
 //!
-//! ## Zero-copy reads
+//! ## Row reads
 //!
 //! Rows are stored append-only in one contiguous row-major buffer per tensor, and the
-//! read API serves borrowed `&[f32]` rows ([`LayerKvCache::key_row`]) and
-//! [`MatrixView`]s ([`LayerKvCache::keys_view`]) straight into that storage. The legacy
-//! materializing accessors ([`LayerKvCache::keys`] / [`LayerKvCache::values`]) clone the
-//! whole `len x kv_dim` tensor per call — O(T²) over a decoded sequence — and are kept
-//! only as the regression baseline; every materialization is counted so tests can assert
-//! the hot path never touches them.
+//! read API serves borrowed `&[f32]` rows ([`LayerKvCache::key_row`]) straight from that
+//! storage; nothing ever copies the whole cache.
 //!
 //! ## Backends
 //!
@@ -21,48 +17,18 @@
 //! while [`PagedKvCache`](crate::paging::PagedKvCache) stores rows genuinely bit-packed
 //! in pool-allocated pages — exclusively owned, or refcounted-shared with other
 //! sequences under prefix sharing (reads never care which; writes copy-on-write). Both
-//! backends feed the attention loop through a per-layer [`KvLayerReader`], so the
-//! zero-materialization invariant is backend-independent.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! backends feed the attention loop through a per-layer [`KvLayerReader`].
 
 use mx_formats::QuantScheme;
-use mx_tensor::{Matrix, MatrixView};
 use serde::{Deserialize, Serialize};
 
 /// The KV cache of one attention layer: keys and values appended token by token.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LayerKvCache {
     kv_dim: usize,
     keys: Vec<f32>,
     values: Vec<f32>,
     len: usize,
-    /// Reusable per-append quantization buffer (never observable through the read API).
-    scratch: Vec<f32>,
-    /// Number of full-tensor materializations served (legacy `keys()` / `values()`).
-    /// Atomic (not `Cell`) so the cache stays `Sync` and sequences can move freely
-    /// between decode worker threads.
-    materializations: AtomicUsize,
-}
-
-impl Clone for LayerKvCache {
-    fn clone(&self) -> Self {
-        LayerKvCache {
-            kv_dim: self.kv_dim,
-            keys: self.keys.clone(),
-            values: self.values.clone(),
-            len: self.len,
-            scratch: self.scratch.clone(),
-            materializations: AtomicUsize::new(self.materializations()),
-        }
-    }
-}
-
-impl PartialEq for LayerKvCache {
-    fn eq(&self, other: &Self) -> bool {
-        // Scratch contents and read-side instrumentation are not part of the cache state.
-        self.kv_dim == other.kv_dim && self.len == other.len && self.keys == other.keys && self.values == other.values
-    }
 }
 
 impl LayerKvCache {
@@ -81,8 +47,6 @@ impl LayerKvCache {
             keys: Vec::with_capacity(positions * kv_dim),
             values: Vec::with_capacity(positions * kv_dim),
             len: 0,
-            scratch: Vec::new(),
-            materializations: AtomicUsize::new(0),
         }
     }
 
@@ -112,8 +76,8 @@ impl LayerKvCache {
 
     /// Appends one position's key and value rows, fake-quantized with `scheme`
     /// (the cache stores the quantized representation, as a real serving system would).
-    /// Quantization goes through one reusable scratch buffer: appends allocate only when
-    /// the row storage itself must grow.
+    /// Rows are quantized straight into the row storage: appends allocate only when the
+    /// storage itself must grow.
     ///
     /// # Panics
     ///
@@ -121,11 +85,12 @@ impl LayerKvCache {
     pub fn append(&mut self, key: &[f32], value: &[f32], scheme: QuantScheme) {
         assert_eq!(key.len(), self.kv_dim, "key width mismatch");
         assert_eq!(value.len(), self.kv_dim, "value width mismatch");
-        self.scratch.resize(self.kv_dim, 0.0);
-        scheme.quantize_dequantize_into(key, &mut self.scratch);
-        self.keys.extend_from_slice(&self.scratch);
-        scheme.quantize_dequantize_into(value, &mut self.scratch);
-        self.values.extend_from_slice(&self.scratch);
+        let start = self.len * self.kv_dim;
+        let end = start + self.kv_dim;
+        self.keys.resize(end, 0.0);
+        scheme.quantize_dequantize_into(key, &mut self.keys[start..end]);
+        self.values.resize(end, 0.0);
+        scheme.quantize_dequantize_into(value, &mut self.values[start..end]);
         self.len += 1;
     }
 
@@ -149,45 +114,6 @@ impl LayerKvCache {
     pub fn value_row(&self, t: usize) -> &[f32] {
         assert!(t < self.len, "position out of bounds");
         &self.values[t * self.kv_dim..(t + 1) * self.kv_dim]
-    }
-
-    /// The cached keys as a borrowed `(len, kv_dim)` view (no copy).
-    #[must_use]
-    pub fn keys_view(&self) -> MatrixView<'_> {
-        MatrixView::new(self.len, self.kv_dim, &self.keys)
-    }
-
-    /// The cached values as a borrowed `(len, kv_dim)` view (no copy).
-    #[must_use]
-    pub fn values_view(&self) -> MatrixView<'_> {
-        MatrixView::new(self.len, self.kv_dim, &self.values)
-    }
-
-    /// The cached keys as an owned `(len, kv_dim)` matrix.
-    ///
-    /// This clones the entire cache — the seed's per-token decode cost — and exists only
-    /// as the regression baseline and for cold-path consumers; hot paths must use
-    /// [`LayerKvCache::keys_view`] / [`LayerKvCache::key_row`]. Every call is recorded in
-    /// [`LayerKvCache::materializations`].
-    #[must_use]
-    pub fn keys(&self) -> Matrix {
-        self.materializations.fetch_add(1, Ordering::Relaxed);
-        self.keys_view().to_matrix()
-    }
-
-    /// The cached values as an owned `(len, kv_dim)` matrix (see [`LayerKvCache::keys`]).
-    #[must_use]
-    pub fn values(&self) -> Matrix {
-        self.materializations.fetch_add(1, Ordering::Relaxed);
-        self.values_view().to_matrix()
-    }
-
-    /// How many full-tensor materializations ([`LayerKvCache::keys`] /
-    /// [`LayerKvCache::values`]) this cache has served. The zero-copy decode path keeps
-    /// this at zero; tests assert on it instead of timing.
-    #[must_use]
-    pub fn materializations(&self) -> usize {
-        self.materializations.load(Ordering::Relaxed)
     }
 
     /// Clears the cache (retaining storage).
@@ -281,13 +207,6 @@ impl KvCache {
         for l in &mut self.layers {
             l.reserve(additional);
         }
-    }
-
-    /// Total full-tensor materializations served across all layers
-    /// (see [`LayerKvCache::materializations`]).
-    #[must_use]
-    pub fn materializations(&self) -> usize {
-        self.layers.iter().map(LayerKvCache::materializations).sum()
     }
 
     /// Total storage in bytes across all layers if held in `scheme`
@@ -400,9 +319,6 @@ pub trait KvBackend {
 
     /// A row reader over `layer`'s cached positions, decoding through `scratch`.
     fn layer_reader<'a>(&'a mut self, layer: usize, scratch: &'a mut Self::Scratch) -> Self::Layer<'a>;
-
-    /// Full-tensor materializations served so far (0 on every hot path).
-    fn materializations(&self) -> usize;
 }
 
 impl KvLayerReader for &LayerKvCache {
@@ -434,10 +350,6 @@ impl KvBackend for KvCache {
     fn layer_reader<'a>(&'a mut self, layer: usize, (): &'a mut ()) -> Self::Layer<'a> {
         self.layer(layer)
     }
-
-    fn materializations(&self) -> usize {
-        KvCache::materializations(self)
-    }
 }
 
 #[cfg(test)]
@@ -450,31 +362,8 @@ mod tests {
         cache.append(&[1.0, 2.0, 3.0, 4.0], &[0.5, 0.5, 0.5, 0.5], QuantScheme::Fp32);
         cache.append(&[-1.0, 0.0, 1.0, 2.0], &[0.1, 0.2, 0.3, 0.4], QuantScheme::Fp32);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.keys().shape(), (2, 4));
-        assert_eq!(cache.keys().row(0), &[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(cache.values().row(1), &[0.1, 0.2, 0.3, 0.4]);
-    }
-
-    #[test]
-    fn views_alias_storage_and_match_materialized_reads() {
-        let mut cache = LayerKvCache::new(4);
-        for t in 0..6 {
-            let row = [t as f32; 4];
-            cache.append(&row, &row, QuantScheme::Fp32);
-        }
-        let keys = cache.keys_view();
-        let values = cache.values_view();
-        assert_eq!(keys.shape(), (6, 4));
-        // Row reads borrow the same storage (pointer-identical, not copies)...
-        assert_eq!(cache.key_row(3).as_ptr(), keys.row(3).as_ptr());
-        assert_eq!(keys.row(2).as_ptr(), keys.data()[2 * 4..].as_ptr());
-        assert_eq!(cache.value_row(5), [5.0; 4]);
-        // ...and none of the view reads counted as a materialization.
-        assert_eq!(cache.materializations(), 0);
-        // The legacy owned accessors return the same numbers but are counted.
-        assert_eq!(cache.keys().data(), keys.data());
-        assert_eq!(cache.values().data(), values.data());
-        assert_eq!(cache.materializations(), 2);
+        assert_eq!(cache.key_row(0), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(cache.value_row(1), &[0.1, 0.2, 0.3, 0.4]);
     }
 
     #[test]
@@ -550,7 +439,6 @@ mod tests {
             }
         }
         assert_eq!(cache.storage_bytes(QuantScheme::mxfp4()), 2 * 2 * 4 * 17);
-        assert_eq!(cache.materializations(), 0);
     }
 
     #[test]

@@ -1,36 +1,21 @@
 //! The transformer model: prefill and decode with quantized dot products.
 //!
-//! The decode hot path ([`DecodePath::ZeroCopy`], the default) reads cached keys/values
-//! through borrowed row slices ([`crate::kvcache::LayerKvCache::key_row`]) — zero copies
-//! per token — runs its score/probability operands through reusable scratch buffers, and
-//! multiplies against weights that were direct-cast **once** at construction. The seed's
-//! decode path — one full-cache [`Matrix`] materialization per tensor per layer per
-//! forward call (O(T²) over a decoded sequence) plus per-call weight re-quantization —
-//! is preserved behind [`DecodePath::SeedClone`] as a bit-identical regression baseline
-//! and as the "before" arm of the decode benchmark.
+//! [`TransformerModel::forward`] is the one forward pass. It runs over any KV-cache
+//! backend ([`KvBackend`]): cached keys/values are read row by row through the
+//! backend's [`KvLayerReader`] (borrowed slices on the `f32` [`KvCache`], packed-row
+//! decodes or fused kernels on the paged backend), and every projection multiplies
+//! against weights that were direct-cast **once** at construction.
 
 use mx_tensor::{kernels, Matrix, PackedMatrix};
 use serde::{Deserialize, Serialize};
 
 use crate::config::{MlpKind, ModelConfig, NormKind};
-use crate::kvcache::{AttnGeometry, KvBackend, KvCache, KvLayerReader, LayerKvCache};
+use crate::kvcache::{AttnGeometry, KvBackend, KvCache, KvLayerReader};
 use crate::quant_config::ModelQuantConfig;
 use crate::weights::ModelWeights;
 
-/// Which implementation of the decode/prefill hot path to run. Both produce bit-identical
-/// logits; they differ only in work performed per token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DecodePath {
-    /// The serving path: borrowed `&[f32]` cache views, reusable scratch buffers, shared
-    /// per-row activation quantization, and weights direct-cast once at load time.
-    ZeroCopy,
-    /// The seed's path: owned per-call `Matrix` clones of the whole KV cache (O(T²) per
-    /// decoded sequence), per-head score/probability allocations, and weight operands
-    /// re-quantized on every projection. Kept as the regression/benchmark baseline.
-    SeedClone,
-}
-
-/// Per-layer weights after the one-time direct cast with the configured weight schemes.
+/// Per-layer weights after the one-time direct cast with the configured weight schemes,
+/// plus the layer's norm vectors.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CastLayerWeights {
     wq: PackedMatrix,
@@ -40,25 +25,35 @@ struct CastLayerWeights {
     w_gate: PackedMatrix,
     w_up: PackedMatrix,
     w_down: PackedMatrix,
+    attn_norm_gain: Vec<f32>,
+    attn_norm_bias: Vec<f32>,
+    mlp_norm_gain: Vec<f32>,
+    mlp_norm_bias: Vec<f32>,
 }
 
-/// All weight operands quantized once (column-blocked along the reduction dimension),
-/// exactly as `matmul_quantized` would per call, and held packed: 4-bit codes under
-/// MXFP4/MXFP4+, dequantized panels otherwise. Multiplying by them is bit-identical to
-/// multiplying by the per-call cast.
+/// Everything the forward pass reads. The weight operands are quantized once
+/// (column-blocked along the reduction dimension), exactly as `matmul_quantized` would
+/// per call, and held packed: 4-bit codes under MXFP4/MXFP4+, dequantized panels
+/// otherwise. Multiplying by them is bit-identical to multiplying by the per-call cast.
+/// The embedding and the norm vectors are moved over unchanged.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct CastWeights {
+    embedding: Matrix,
     layers: Vec<CastLayerWeights>,
+    final_norm_gain: Vec<f32>,
+    final_norm_bias: Vec<f32>,
     lm_head: PackedMatrix,
 }
 
 impl CastWeights {
-    fn cast(weights: &ModelWeights, quant: &ModelQuantConfig) -> Self {
+    /// Casts `weights`, dropping each unquantized linear matrix once it is packed.
+    fn cast(weights: ModelWeights, quant: &ModelQuantConfig) -> Self {
         let w = quant.linear.weights;
         CastWeights {
+            embedding: weights.embedding,
             layers: weights
                 .layers
-                .iter()
+                .into_iter()
                 .map(|lw| CastLayerWeights {
                     wq: PackedMatrix::new(&lw.wq, w),
                     wk: PackedMatrix::new(&lw.wk, w),
@@ -67,8 +62,14 @@ impl CastWeights {
                     w_gate: PackedMatrix::new(&lw.w_gate, w),
                     w_up: PackedMatrix::new(&lw.w_up, w),
                     w_down: PackedMatrix::new(&lw.w_down, w),
+                    attn_norm_gain: lw.attn_norm_gain,
+                    attn_norm_bias: lw.attn_norm_bias,
+                    mlp_norm_gain: lw.mlp_norm_gain,
+                    mlp_norm_bias: lw.mlp_norm_bias,
                 })
                 .collect(),
+            final_norm_gain: weights.final_norm_gain,
+            final_norm_bias: weights.final_norm_bias,
             lm_head: PackedMatrix::new(&weights.lm_head, quant.lm_head.weights),
         }
     }
@@ -89,25 +90,17 @@ impl CastWeights {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TransformerModel {
     config: ModelConfig,
-    weights: ModelWeights,
     quant: ModelQuantConfig,
-    cast: CastWeights,
+    weights: CastWeights,
 }
 
 impl TransformerModel {
-    /// Builds the model, generating deterministic weights from the configuration's seed.
+    /// Builds the model, generating deterministic weights from the configuration's seed
+    /// and direct-casting them once under the configured weight schemes.
     #[must_use]
     pub fn new(config: ModelConfig, quant: ModelQuantConfig) -> Self {
-        let weights = ModelWeights::generate(&config);
-        TransformerModel::with_weights(config, weights, quant)
-    }
-
-    /// Builds the model from explicit weights (direct-casting them once for the zero-copy
-    /// serving path).
-    #[must_use]
-    pub fn with_weights(config: ModelConfig, weights: ModelWeights, quant: ModelQuantConfig) -> Self {
-        let cast = CastWeights::cast(&weights, &quant);
-        TransformerModel { config, weights, quant, cast }
+        let weights = CastWeights::cast(ModelWeights::generate(&config), &quant);
+        TransformerModel { config, quant, weights }
     }
 
     /// The model configuration.
@@ -122,26 +115,12 @@ impl TransformerModel {
         self.quant
     }
 
-    /// The model weights.
-    #[must_use]
-    pub fn weights(&self) -> &ModelWeights {
-        &self.weights
-    }
-
     /// Bytes of the direct-cast weight operands the forward pass multiplies by: 4-bit
     /// codes plus scales under MXFP4/MXFP4+ weights, `f32` panels under other schemes.
-    /// The unquantized [`ModelWeights`] (kept for [`TransformerModel::set_quant`] and the
-    /// reference paths) are not counted.
+    /// The embedding table and the norm vectors are not counted.
     #[must_use]
     pub fn weight_bytes(&self) -> usize {
-        self.cast.bytes()
-    }
-
-    /// Changes the quantization configuration. The unquantized weights are retained, so
-    /// this re-runs the one-time direct cast under the new weight schemes.
-    pub fn set_quant(&mut self, quant: ModelQuantConfig) {
-        self.quant = quant;
-        self.cast = CastWeights::cast(&self.weights, &self.quant);
+        self.weights.bytes()
     }
 
     /// Creates an empty KV cache sized for this model.
@@ -153,89 +132,34 @@ impl TransformerModel {
     /// Runs the model over `tokens`, appending to `cache`, and returns the logits for
     /// every input position as a `(tokens.len(), vocab)` matrix.
     ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` is empty or contains an id outside the vocabulary.
-    #[must_use]
-    pub fn forward(&self, tokens: &[usize], cache: &mut KvCache) -> Matrix {
-        self.forward_with_path(tokens, cache, DecodePath::ZeroCopy)
-    }
-
-    /// [`TransformerModel::forward`] with an explicit decode path. Both paths are
-    /// bit-identical; [`DecodePath::SeedClone`] exists only to pin that equivalence in
-    /// tests and to benchmark the seed's clone-based decode behaviour.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` is empty or contains an id outside the vocabulary.
-    #[must_use]
-    pub fn forward_with_path(&self, tokens: &[usize], cache: &mut KvCache, path: DecodePath) -> Matrix {
-        match path {
-            DecodePath::ZeroCopy => self.forward_backend(tokens, cache),
-            DecodePath::SeedClone => self.forward_seed(tokens, cache),
-        }
-    }
-
-    /// The zero-copy forward pass over any cache backend: the `f32` [`KvCache`] (where it
-    /// equals [`DecodePath::ZeroCopy`] exactly) or a bit-packed
+    /// `cache` is any backend: the `f32` [`KvCache`] or a bit-packed
     /// [`PagedKvCache`](crate::paging::PagedKvCache). Because every backend serves rows
     /// equal to `scheme.quantize_dequantize(row)` bit for bit, the logits — and therefore
-    /// the generated tokens — do not depend on the backend.
+    /// the generated tokens — do not depend on the backend. `scratch` is the caller-owned
+    /// working memory the backend decodes cache rows into (`&mut ()` for [`KvCache`]; a
+    /// decode worker thread carries one [`PagedScratch`](crate::paging::PagedScratch)
+    /// across all the sequences it steps).
     ///
     /// The pass always *continues* from `cache.seq_len()`: positions, rotary phases and
     /// causal visibility all derive from the backend's current length, and every
-    /// per-position operation is row-independent. Prefix sharing relies on exactly this:
-    /// prefilling only the suffix of a prompt on top of shared (already-populated) cache
-    /// rows produces logits bit-identical to a full prefill.
-    ///
-    /// Allocates a fresh [`KvBackend::Scratch`] per call; loops that decode many tokens
-    /// (or worker threads stepping many sequences) should hold one scratch and call
-    /// [`TransformerModel::forward_backend_with_scratch`] instead.
+    /// per-position operation is row-independent. Running `tokens` in one call or split
+    /// over several calls therefore gives bit-identical logits, and prefix sharing relies
+    /// on it: prefilling only the suffix of a prompt on top of shared (already-populated)
+    /// cache rows produces the logits of a full prefill.
     ///
     /// # Panics
     ///
     /// Panics if `tokens` is empty or contains an id outside the vocabulary.
     #[must_use]
-    pub fn forward_backend<B: KvBackend>(&self, tokens: &[usize], cache: &mut B) -> Matrix {
-        let mut scratch = B::Scratch::default();
-        self.forward_backend_with_scratch(tokens, cache, &mut scratch)
-    }
-
-    /// [`TransformerModel::forward_backend`] decoding cache rows through a caller-owned
-    /// `scratch` — the reusable working memory a decode worker thread carries across all
-    /// the sequences it steps (see
-    /// [`PagedScratch`](crate::paging::PagedScratch)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tokens` is empty or contains an id outside the vocabulary.
-    #[must_use]
-    pub fn forward_backend_with_scratch<B: KvBackend>(
-        &self,
-        tokens: &[usize],
-        cache: &mut B,
-        scratch: &mut B::Scratch,
-    ) -> Matrix {
+    pub fn forward<B: KvBackend>(&self, tokens: &[usize], cache: &mut B, scratch: &mut B::Scratch) -> Matrix {
         assert!(!tokens.is_empty(), "token sequence must be non-empty");
         let start_pos = cache.seq_len();
         let mut x = self.embed(tokens);
         for layer in 0..self.config.layers {
-            x = self.layer_forward_backend(layer, &x, start_pos, cache, scratch);
+            x = self.layer_forward(layer, &x, start_pos, cache, scratch);
         }
         let normed = self.apply_norm(&x, &self.weights.final_norm_gain, &self.weights.final_norm_bias);
-        normed.quantize_rows(self.quant.lm_head.activations).matmul_packed(&self.cast.lm_head)
-    }
-
-    /// The seed's clone-based forward pass (see [`DecodePath::SeedClone`]).
-    fn forward_seed(&self, tokens: &[usize], cache: &mut KvCache) -> Matrix {
-        assert!(!tokens.is_empty(), "token sequence must be non-empty");
-        let start_pos = cache.seq_len();
-        let mut x = self.embed(tokens);
-        for layer in 0..self.config.layers {
-            x = self.layer_forward_seed(layer, &x, start_pos, cache);
-        }
-        let normed = self.apply_norm(&x, &self.weights.final_norm_gain, &self.weights.final_norm_bias);
-        normed.matmul_quantized(&self.weights.lm_head, self.quant.lm_head)
+        normed.quantize_rows(self.quant.lm_head.activations).matmul_packed(&self.weights.lm_head)
     }
 
     /// Token embeddings (vector op: BF16 precision like the baseline).
@@ -247,47 +171,13 @@ impl TransformerModel {
         })
     }
 
-    /// Prefill convenience: runs `forward` with a fresh cache and returns `(logits, cache)`.
+    /// Prefill convenience: runs [`TransformerModel::forward`] with a fresh `f32` cache
+    /// and returns `(logits, cache)`.
     #[must_use]
     pub fn prefill(&self, tokens: &[usize]) -> (Matrix, KvCache) {
         let mut cache = self.new_cache();
-        let logits = self.forward(tokens, &mut cache);
+        let logits = self.forward(tokens, &mut cache, &mut ());
         (logits, cache)
-    }
-
-    /// Decodes a single token given an existing cache, returning its logits.
-    #[must_use]
-    pub fn decode_step(&self, token: usize, cache: &mut KvCache) -> Vec<f32> {
-        self.decode_step_with_path(token, cache, DecodePath::ZeroCopy)
-    }
-
-    /// [`TransformerModel::decode_step`] with an explicit decode path
-    /// (see [`DecodePath`]).
-    #[must_use]
-    pub fn decode_step_with_path(&self, token: usize, cache: &mut KvCache, path: DecodePath) -> Vec<f32> {
-        let logits = self.forward_with_path(&[token], cache, path);
-        logits.row(0).to_vec()
-    }
-
-    /// Decodes a single token over any cache backend
-    /// (see [`TransformerModel::forward_backend`]).
-    #[must_use]
-    pub fn decode_step_backend<B: KvBackend>(&self, token: usize, cache: &mut B) -> Vec<f32> {
-        let logits = self.forward_backend(&[token], cache);
-        logits.row(0).to_vec()
-    }
-
-    /// [`TransformerModel::decode_step_backend`] decoding cache rows through a
-    /// caller-owned scratch (see [`TransformerModel::forward_backend_with_scratch`]).
-    #[must_use]
-    pub fn decode_step_backend_with_scratch<B: KvBackend>(
-        &self,
-        token: usize,
-        cache: &mut B,
-        scratch: &mut B::Scratch,
-    ) -> Vec<f32> {
-        let logits = self.forward_backend_with_scratch(&[token], cache, scratch);
-        logits.row(0).to_vec()
     }
 
     /// Greedy generation of `n` tokens after prefilling `prompt`.
@@ -302,33 +192,25 @@ impl TransformerModel {
         let mut next = argmax(logits.row(logits.rows() - 1));
         for _ in 0..n {
             out.push(next);
-            let step = self.decode_step(next, &mut cache);
-            next = argmax(&step);
+            next = argmax(self.forward(&[next], &mut cache, &mut ()).row(0));
         }
         out
     }
 
-    /// Zero-copy attention over any cache backend: cached keys/values are read row by row
+    /// Causal attention over any cache backend: cached keys/values are read row by row
     /// through a [`KvLayerReader`] (borrowed slices on the `f32` backend, per-row packed
     /// decodes on the paged backend), the cache is walked position-outer so every cached
     /// row is loaded once per query row (not once per head), and the
-    /// score/probability/query operands go through reusable scratch buffers.
+    /// score/probability/query operands go through reusable buffers.
     ///
     /// Backends with fused row kernels ([`KvLayerReader::fused_key_dots`] /
     /// [`KvLayerReader::fused_value_accumulate`]) compute each position's per-head dot
     /// products and value accumulation straight from their packed storage, block by block
     /// in registers, so the full `f32` row is never materialized; backends without them
-    /// fall back to the materializing row reads below. Both routes — and
-    /// [`TransformerModel::attention_materialized`] — are bit-identical: every per-(head,
+    /// fall back to the row reads below. Both routes are bit-identical: every per-(head,
     /// position) dot product, softmax and accumulation runs in the same order on the same
     /// values.
-    fn attention_zero_copy<R: KvLayerReader>(
-        &self,
-        reader: &mut R,
-        q: &Matrix,
-        start_pos: usize,
-        attn_out: &mut Matrix,
-    ) {
+    fn attention<R: KvLayerReader>(&self, reader: &mut R, q: &Matrix, start_pos: usize, attn_out: &mut Matrix) {
         let cfg = &self.config;
         let head_dim = cfg.head_dim();
         let group = cfg.heads / cfg.kv_heads;
@@ -395,45 +277,6 @@ impl TransformerModel {
         }
     }
 
-    /// The seed's clone-based attention: materializes the whole cache into owned
-    /// matrices once per call and allocates per-head score/probability vectors.
-    /// Kept (and benchmarked) as the regression baseline for the zero-copy path.
-    fn attention_materialized(&self, lcache: &LayerKvCache, q: &Matrix, start_pos: usize, attn_out: &mut Matrix) {
-        let cfg = &self.config;
-        let head_dim = cfg.head_dim();
-        let group = cfg.heads / cfg.kv_heads;
-        let scale = 1.0 / (head_dim as f32).sqrt();
-        let keys = lcache.keys();
-        let values = lcache.values();
-        for r in 0..q.rows() {
-            let visible = start_pos + r + 1;
-            let q_row = self.quant.linear.activations.quantize_dequantize(q.row(r));
-            for head in 0..cfg.heads {
-                let qs = head * head_dim;
-                let ks = (head / group) * head_dim;
-                let mut scores = Vec::with_capacity(visible);
-                for t in 0..visible {
-                    let key_row = keys.row(t);
-                    let dot: f32 =
-                        q_row[qs..qs + head_dim].iter().zip(&key_row[ks..ks + head_dim]).map(|(a, b)| a * b).sum();
-                    scores.push(dot * scale);
-                }
-                kernels::softmax_inplace(&mut scores);
-                let probs = self.quant.attention_probs.quantize_dequantize(&scores);
-                let out_slice = &mut attn_out.row_mut(r)[qs..qs + head_dim];
-                for (t, &p) in probs.iter().enumerate() {
-                    if p == 0.0 {
-                        continue;
-                    }
-                    let value_row = values.row(t);
-                    for (o, &vv) in out_slice.iter_mut().zip(&value_row[ks..ks + head_dim]) {
-                        *o += p * vv;
-                    }
-                }
-            }
-        }
-    }
-
     fn apply_norm(&self, x: &Matrix, gain: &[f32], bias: &[f32]) -> Matrix {
         let mut out = Matrix::zeros(x.rows(), x.cols());
         for r in 0..x.rows() {
@@ -467,11 +310,10 @@ impl TransformerModel {
         }
     }
 
-    /// One transformer layer on the zero-copy path, generic over the cache backend:
-    /// the shared activation operand is quantized once per projection group and
-    /// multiplied against the pre-cast weights; cache reads go through the backend's
-    /// per-layer row reader.
-    fn layer_forward_backend<B: KvBackend>(
+    /// One transformer layer, generic over the cache backend: the shared activation
+    /// operand is quantized once per projection group and multiplied against the
+    /// pre-cast weights; cache reads go through the backend's per-layer row reader.
+    fn layer_forward<B: KvBackend>(
         &self,
         layer: usize,
         x: &Matrix,
@@ -480,7 +322,6 @@ impl TransformerModel {
         scratch: &mut B::Scratch,
     ) -> Matrix {
         let lw = &self.weights.layers[layer];
-        let cast = &self.cast.layers[layer];
         let cfg = &self.config;
         let seq = x.rows();
 
@@ -490,7 +331,7 @@ impl TransformerModel {
             // Quantize the shared activation operand once for all three projections
             // and multiply against the pre-cast weights.
             let a = normed.quantize_rows(self.quant.linear.activations);
-            (a.matmul_packed(&cast.wq), a.matmul_packed(&cast.wk), a.matmul_packed(&cast.wv))
+            (a.matmul_packed(&lw.wq), a.matmul_packed(&lw.wk), a.matmul_packed(&lw.wv))
         };
         self.apply_rotary(&mut q, &mut k, start_pos);
 
@@ -502,10 +343,10 @@ impl TransformerModel {
         // Attention per query position and head, causal over the cache.
         let mut attn_out = Matrix::zeros(seq, cfg.heads * cfg.head_dim());
         let mut reader = cache.layer_reader(layer, scratch);
-        self.attention_zero_copy(&mut reader, &q, start_pos, &mut attn_out);
+        self.attention(&mut reader, &q, start_pos, &mut attn_out);
         drop(reader);
 
-        let attn_proj = attn_out.quantize_rows(self.quant.linear.activations).matmul_packed(&cast.wo);
+        let attn_proj = attn_out.quantize_rows(self.quant.linear.activations).matmul_packed(&lw.wo);
         let x = x.add(&attn_proj);
 
         // --- MLP ---
@@ -517,49 +358,8 @@ impl TransformerModel {
             MlpKind::GatedSilu => {
                 let (gate, up) = {
                     let a = normed.quantize_rows(self.quant.linear.activations);
-                    (a.matmul_packed(&cast.w_gate), a.matmul_packed(&cast.w_up))
+                    (a.matmul_packed(&lw.w_gate), a.matmul_packed(&lw.w_up))
                 };
-                project(&cast.w_down, &self.gated_silu_hidden(&gate, &up))
-            }
-            MlpKind::Gelu => {
-                let fc1 = project(&cast.w_gate, &normed);
-                project(&cast.w_down, &self.gelu_hidden(&fc1))
-            }
-        };
-        x.add(&mlp_out)
-    }
-
-    /// One transformer layer on the seed's clone-based path: weight operands re-quantized
-    /// per projection, whole-cache materialization per attention call.
-    fn layer_forward_seed(&self, layer: usize, x: &Matrix, start_pos: usize, cache: &mut KvCache) -> Matrix {
-        let lw = &self.weights.layers[layer];
-        let cfg = &self.config;
-        let seq = x.rows();
-
-        // --- Attention ---
-        let normed = self.apply_norm(x, &lw.attn_norm_gain, &lw.attn_norm_bias);
-        let mut q = normed.matmul_quantized(&lw.wq, self.quant.linear);
-        let mut k = normed.matmul_quantized(&lw.wk, self.quant.linear);
-        let v = normed.matmul_quantized(&lw.wv, self.quant.linear);
-        self.apply_rotary(&mut q, &mut k, start_pos);
-
-        for r in 0..seq {
-            cache.layer_mut(layer).append(k.row(r), v.row(r), self.quant.kv_cache);
-        }
-
-        let mut attn_out = Matrix::zeros(seq, cfg.heads * cfg.head_dim());
-        self.attention_materialized(cache.layer(layer), &q, start_pos, &mut attn_out);
-
-        let attn_proj = attn_out.matmul_quantized(&lw.wo, self.quant.linear);
-        let x = x.add(&attn_proj);
-
-        // --- MLP ---
-        let normed = self.apply_norm(&x, &lw.mlp_norm_gain, &lw.mlp_norm_bias);
-        let project = |raw: &Matrix, activations: &Matrix| activations.matmul_quantized(raw, self.quant.linear);
-        let mlp_out = match cfg.mlp {
-            MlpKind::GatedSilu => {
-                let gate = normed.matmul_quantized(&lw.w_gate, self.quant.linear);
-                let up = normed.matmul_quantized(&lw.w_up, self.quant.linear);
                 project(&lw.w_down, &self.gated_silu_hidden(&gate, &up))
             }
             MlpKind::Gelu => {
@@ -629,32 +429,73 @@ mod tests {
     fn decode_extends_cache() {
         let model = tiny_model(ModelQuantConfig::BASELINE);
         let (_, mut cache) = model.prefill(&[1, 2, 3]);
-        let logits = model.decode_step(4, &mut cache);
-        assert_eq!(logits.len(), model.config().vocab);
+        let logits = model.forward(&[4], &mut cache, &mut ());
+        assert_eq!(logits.shape(), (1, model.config().vocab));
         assert_eq!(cache.seq_len(), 4);
+    }
+
+    /// The configurations the causality tests run under: two model shapes (MHA and GQA)
+    /// crossed with full-precision, MX, MX+ and 6-bit quantization.
+    fn causality_models() -> Vec<TransformerModel> {
+        let quants = [
+            ModelQuantConfig::BASELINE,
+            ModelQuantConfig::uniform(QuantScheme::mxfp4()),
+            ModelQuantConfig::a_mxfp4_plus(),
+            ModelQuantConfig::uniform(QuantScheme::mxfp6()),
+        ];
+        [ModelConfig::tiny_test(7), ModelConfig::llama31_8b()]
+            .into_iter()
+            .flat_map(|cfg| quants.map(|q| TransformerModel::new(cfg.clone(), q)))
+            .collect()
+    }
+
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn causality_tokens(vocab: usize) -> Vec<usize> {
+        (0..24).map(|i| (i * 37 + 5) % vocab).collect()
     }
 
     #[test]
     fn prefill_then_decode_matches_full_prefill() {
-        // Causality check: running [a, b, c] at once must give the same last-position
-        // logits as prefilling [a, b] and decoding c.
-        let model = tiny_model(ModelQuantConfig::BASELINE);
-        let (full, _) = model.prefill(&[5, 9, 13]);
-        let (_, mut cache) = model.prefill(&[5, 9]);
-        let step = model.decode_step(13, &mut cache);
-        let last = full.row(2);
-        for (a, b) in last.iter().zip(&step) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+        // Continuation check: prefilling a prefix and running the rest on top of its
+        // cache gives the full prefill's logits for the remaining positions, bit for bit.
+        for model in causality_models() {
+            let tokens = causality_tokens(model.config().vocab);
+            let (full, _) = model.prefill(&tokens);
+            for split in [1, 5, 13, 23] {
+                let (_, mut cache) = model.prefill(&tokens[..split]);
+                let rest = model.forward(&tokens[split..], &mut cache, &mut ());
+                for r in 0..rest.rows() {
+                    assert_eq!(
+                        bits(rest.row(r)),
+                        bits(full.row(split + r)),
+                        "{} under {}: split {split}, position {}",
+                        model.config().name,
+                        model.quant().name(),
+                        split + r
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn earlier_logits_unaffected_by_later_tokens() {
-        let model = tiny_model(ModelQuantConfig::BASELINE);
-        let (l1, _) = model.prefill(&[3, 7, 11, 2]);
-        let (l2, _) = model.prefill(&[3, 7, 99, 100]);
-        for (a, b) in l1.row(1).iter().zip(l2.row(1)) {
-            assert!((a - b).abs() < 1e-5, "causality violated");
+        for model in causality_models() {
+            let tokens = causality_tokens(model.config().vocab);
+            let (full, _) = model.prefill(&tokens);
+            for split in [1, 5, 13, 23] {
+                let mut changed = tokens.clone();
+                for t in &mut changed[split..] {
+                    *t = (*t + 1) % model.config().vocab;
+                }
+                let (other, _) = model.prefill(&changed);
+                for r in 0..split {
+                    assert_eq!(bits(other.row(r)), bits(full.row(r)), "causality violated at position {r}");
+                }
+            }
         }
     }
 
@@ -695,36 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn view_and_materialize_modes_are_bit_identical() {
-        // The zero-copy attention path must reproduce the clone-based seed path exactly,
-        // not approximately — same dot products, same softmax inputs, same accumulation
-        // order.
-        for quant in [
-            ModelQuantConfig::BASELINE,
-            ModelQuantConfig::uniform(QuantScheme::mxfp4()),
-            ModelQuantConfig::a_mxfp4_plus(),
-        ] {
-            let model = tiny_model(quant);
-            let prompt = [3, 1, 4, 1, 5, 9, 2, 6];
-            let mut cache_v = model.new_cache();
-            let mut cache_m = model.new_cache();
-            let lv = model.forward_with_path(&prompt, &mut cache_v, DecodePath::ZeroCopy);
-            let lm = model.forward_with_path(&prompt, &mut cache_m, DecodePath::SeedClone);
-            assert_eq!(lv, lm, "prefill logits diverge under {}", quant.name());
-            let mut next = argmax(lv.row(lv.rows() - 1));
-            for step in 0..8 {
-                let sv = model.decode_step_with_path(next, &mut cache_v, DecodePath::ZeroCopy);
-                let sm = model.decode_step_with_path(next, &mut cache_m, DecodePath::SeedClone);
-                assert_eq!(sv, sm, "decode step {step} logits diverge under {}", quant.name());
-                next = argmax(&sv);
-            }
-            for l in 0..cache_v.num_layers() {
-                assert_eq!(cache_v.layer(l), cache_m.layer(l), "cache contents diverge");
-            }
-        }
-    }
-
-    #[test]
     fn paged_backend_is_bit_identical_to_f32_zero_copy() {
         // The packed-page backend must reproduce the f32 backend exactly — same logits at
         // every step — because the row codec round-trips the scheme's quantization bit
@@ -741,31 +552,19 @@ mod tests {
             let mut paged = PagedKvCache::new(&pool, cfg.layers, kv_dim, scheme, 30).unwrap();
             let mut flat = model.new_cache();
             let prompt = [3, 1, 4, 1, 5];
-            let lp = model.forward_backend(&prompt, &mut paged);
-            let lf = model.forward(&prompt, &mut flat);
+            let mut scratch = Default::default();
+            let lp = model.forward(&prompt, &mut paged, &mut scratch);
+            let lf = model.forward(&prompt, &mut flat, &mut ());
             assert_eq!(lp, lf, "prefill logits diverge under {}", quant.name());
             let mut next = argmax(lp.row(lp.rows() - 1));
             for step in 0..24 {
-                let sp = model.decode_step_backend(next, &mut paged);
-                let sf = model.decode_step(next, &mut flat);
+                let sp = model.forward(&[next], &mut paged, &mut scratch);
+                let sf = model.forward(&[next], &mut flat, &mut ());
                 assert_eq!(sp, sf, "decode step {step} diverges under {}", quant.name());
-                next = argmax(&sp);
+                next = argmax(sp.row(0));
             }
             assert_eq!(paged.seq_len(), flat.seq_len());
-            assert_eq!(crate::kvcache::KvBackend::materializations(&paged), 0);
         }
-    }
-
-    #[test]
-    fn default_decode_path_never_materializes_the_cache() {
-        let model = tiny_model(ModelQuantConfig::uniform(QuantScheme::mxfp4()));
-        let (logits, mut cache) = model.prefill(&[1, 2, 3]);
-        let mut next = argmax(logits.row(logits.rows() - 1));
-        for _ in 0..16 {
-            next = argmax(&model.decode_step(next, &mut cache));
-        }
-        assert_eq!(cache.seq_len(), 19);
-        assert_eq!(cache.materializations(), 0, "hot path must read the cache through views only");
     }
 
     #[test]
@@ -781,7 +580,7 @@ mod tests {
     #[test]
     fn weight_bytes_are_packed_codes_under_mxfp4_and_f32_under_bf16() {
         let f32_bytes = |model: &TransformerModel| {
-            let w = model.weights();
+            let w = ModelWeights::generate(model.config());
             let layers = w.layers.iter().flat_map(|l| [&l.wq, &l.wk, &l.wv, &l.wo, &l.w_gate, &l.w_up, &l.w_down]);
             layers.chain([&w.lm_head]).map(|m| std::mem::size_of_val(m.data())).sum::<usize>()
         };

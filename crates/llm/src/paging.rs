@@ -14,7 +14,7 @@
 //! * [`PagedKvCache`] — one sequence's cache: a per-layer page table mapping position
 //!   `t → (table[t / page_positions], t % page_positions)`. Appends quantize-and-pack
 //!   straight into the slot; reads decode one row at a time into a caller-provided
-//!   [`PagedScratch`] and serve it to the zero-copy attention loop through
+//!   [`PagedScratch`] and serve it to the attention loop through
 //!   [`KvLayerReader`], so no full-cache tensor is ever materialized.
 //!
 //! ## Ownership model: exclusive tail pages, refcounted shared pages
@@ -60,8 +60,9 @@
 //!
 //! Because [`mx_formats::RowCodec`] round-trips bit-for-bit with
 //! `QuantScheme::quantize_dequantize` — the exact values the f32 backend stores — a
-//! decode over the paged backend is **token-identical** to the f32
-//! [`DecodePath::ZeroCopy`](crate::model::DecodePath) path, on any number of threads.
+//! decode over the paged backend is **token-identical** to the same
+//! [`TransformerModel::forward`](crate::model::TransformerModel::forward) over the f32
+//! [`KvCache`](crate::kvcache::KvCache), on any number of threads.
 //! Dropping a [`PagedKvCache`] returns every page (and any unused reservation) to the
 //! pool, which is what lets the continuous-batching scheduler admit queued sequences as
 //! earlier ones finish.
@@ -1174,11 +1175,6 @@ impl KvBackend for PagedKvCache {
             len: self.lens[layer],
             scratch,
         }
-    }
-
-    fn materializations(&self) -> usize {
-        // No full-cache accessor exists on this backend; reads are per-row by design.
-        0
     }
 }
 

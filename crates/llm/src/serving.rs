@@ -1,5 +1,5 @@
-//! A continuous-batching serving engine on top of the zero-copy decode path, driven by a
-//! pool of decode worker threads.
+//! A continuous-batching serving engine on top of
+//! [`TransformerModel::forward`], driven by a pool of decode worker threads.
 //!
 //! The engine owns a queue of sequences and decodes them round-robin — one token per
 //! active sequence per scheduler step. Two cache backends are supported:
@@ -57,10 +57,10 @@
 //! Sequences finish on their length budget or on a per-sequence stop token, each
 //! recorded as a [`FinishReason`]; next-token selection is greedy by default or seeded
 //! top-k / top-p per sequence. All of it is configured through one [`SubmitOptions`]
-//! builder ([`ServingEngine::submit_with`]). All cache reads go through the borrowed-view
-//! / packed-row-decode hot path, so a whole batched run performs zero full-cache copies;
-//! the [`ServingReport`] pins that invariant, distinguishes the cache's **theoretical**
-//! scheme bytes from the **measured resident** bytes actually allocated, and reports
+//! builder ([`ServingEngine::submit_with`]). All cache reads go through borrowed rows or
+//! packed-row decodes, so a whole batched run performs zero full-cache copies; the
+//! [`ServingReport`] distinguishes the cache's **theoretical** scheme bytes from the
+//! **measured resident** bytes actually allocated, and reports
 //! wall-clock throughput ([`ServingReport::tokens_per_sec_parallel`]) next to the
 //! summed-across-workers decode rate.
 //!
@@ -114,7 +114,7 @@ use mx_telemetry::{Category, Histogram, LatencySummary, QuantileSummary, Recorde
 
 use crate::fault::{FaultPlan, FaultState, InjectedFault, RecoveryPolicy};
 use crate::kvcache::{KvCache, LayerKvCache};
-use crate::model::{DecodePath, TransformerModel};
+use crate::model::TransformerModel;
 use crate::paging::{PagePool, PagedKvCache, PagedScratch, SpilledKv, DEFAULT_PAGE_POSITIONS};
 use crate::sampling::{sample_token, Sampling, SeqRng};
 
@@ -353,13 +353,7 @@ impl Sequence {
     /// touch, then stop/budget bookkeeping and one decode step. Returns the tokens this
     /// step generated (0 or 1) and the prefill/decode forward time it spent, recording
     /// the worker-side spans and the first-token lifecycle instant into `rec`.
-    fn step(
-        &mut self,
-        model: &TransformerModel,
-        mode: DecodePath,
-        scratch: &mut PagedScratch,
-        rec: &mut Recorder,
-    ) -> StepResult {
+    fn step(&mut self, model: &TransformerModel, scratch: &mut PagedScratch, rec: &mut Recorder) -> StepResult {
         if !self.prefilled {
             let span = rec.span(Category::Worker, "prefill", "seq", self.id as u64);
             let t0 = Instant::now();
@@ -367,10 +361,8 @@ impl Sequence {
             // the suffix forward starts at `cache.seq_len() == shared_positions`, so the
             // logits (and every later token) are bit-identical to a full prefill.
             let logits = match &mut self.cache {
-                SeqCache::F32(cache) => model.forward_with_path(&self.prompt, cache, mode),
-                SeqCache::Paged(cache) => {
-                    model.forward_backend_with_scratch(&self.prompt[self.shared_positions..], cache, scratch)
-                }
+                SeqCache::F32(cache) => model.forward(&self.prompt, cache, &mut ()),
+                SeqCache::Paged(cache) => model.forward(&self.prompt[self.shared_positions..], cache, scratch),
                 _ => unreachable!("stepped sequence without a cache"),
             };
             self.next = self.sample(logits.row(logits.rows() - 1));
@@ -403,11 +395,11 @@ impl Sequence {
         let span = rec.span(Category::Worker, "decode_step", "seq", self.id as u64);
         let t0 = Instant::now();
         let logits = match &mut self.cache {
-            SeqCache::F32(cache) => model.decode_step_with_path(self.next, cache, mode),
-            SeqCache::Paged(cache) => model.decode_step_backend_with_scratch(self.next, cache, scratch),
+            SeqCache::F32(cache) => model.forward(&[self.next], cache, &mut ()),
+            SeqCache::Paged(cache) => model.forward(&[self.next], cache, scratch),
             _ => unreachable!("active sequence without a cache"),
         };
-        self.next = self.sample(&logits);
+        self.next = self.sample(logits.row(0));
         let decode = t0.elapsed();
         drop(span);
         StepResult { tokens: 1, prefill: Duration::ZERO, decode }
@@ -485,8 +477,6 @@ pub struct ServingReport {
     /// backend, f32 row storage on the baseline backend. This is the number that exposed
     /// the old accounting gap (f32-resident storage labelled with scheme bytes).
     pub resident_bytes: usize,
-    /// Full-cache materializations observed across all caches (0 on the hot paths).
-    pub cache_materializations: usize,
     /// Bytes of the model's direct-cast weight operands, as the forward pass holds them
     /// ([`TransformerModel::weight_bytes`]): 4-bit codes plus scales under MXFP4/MXFP4+
     /// weights, `f32` panels otherwise.
@@ -561,10 +551,8 @@ impl DrainReport {
 /// assert!(opts.share_prefix);
 /// ```
 ///
-/// This is the one submission surface of the engine — the historical
-/// `submit` / `submit_with_stop` / `submit_with_sampling` trio survives as thin
-/// deprecated wrappers, so prefix-sharing, priority and arrival options never need a
-/// fourth variant.
+/// This is the one submission surface of the engine: prefix-sharing, priority and
+/// arrival options are builder calls, not further `submit` variants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SubmitOptions {
     /// Generation budget for the sequence.
@@ -680,13 +668,11 @@ impl SubmitOptions {
 /// assert_eq!(report.sequences, 2);
 /// assert_eq!(report.generated_tokens, 8);
 /// assert_eq!(report.finished_length, 2);
-/// assert_eq!(report.cache_materializations, 0);
 /// ```
 #[derive(Debug)]
 pub struct ServingEngine<'m> {
     model: &'m TransformerModel,
     sequences: Vec<Sequence>,
-    mode: DecodePath,
     pool: Option<Arc<PagePool>>,
     num_threads: usize,
     /// Hash-consed prompt prefixes: chain hash of each full page of prompt positions →
@@ -710,21 +696,13 @@ pub struct ServingEngine<'m> {
 }
 
 impl<'m> ServingEngine<'m> {
-    /// Creates an engine serving `model` on the f32-contiguous backend through the
-    /// zero-copy cache path (every submission is admitted immediately).
+    /// Creates an engine serving `model` on the f32-contiguous backend (every submission
+    /// is admitted immediately).
     #[must_use]
     pub fn new(model: &'m TransformerModel) -> Self {
-        ServingEngine::with_path(model, DecodePath::ZeroCopy)
-    }
-
-    /// Creates an f32-backend engine with an explicit [`DecodePath`] (`SeedClone` is only
-    /// useful for benchmarking the pre-refactor decode path).
-    #[must_use]
-    pub fn with_path(model: &'m TransformerModel, mode: DecodePath) -> Self {
         ServingEngine {
             model,
             sequences: Vec::new(),
-            mode,
             pool: None,
             num_threads: default_threads(),
             prefix_index: HashMap::new(),
@@ -753,7 +731,6 @@ impl<'m> ServingEngine<'m> {
         ServingEngine {
             model,
             sequences: Vec::new(),
-            mode: DecodePath::ZeroCopy,
             pool: Some(pool),
             num_threads: default_threads(),
             prefix_index: HashMap::new(),
@@ -906,44 +883,6 @@ impl<'m> ServingEngine<'m> {
         id
     }
 
-    /// Queues a sequence. Returns the sequence id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prompt is empty.
-    #[deprecated(since = "0.1.0", note = "use `submit_with` with a `SubmitOptions` builder")]
-    pub fn submit(&mut self, prompt: &[usize], max_new_tokens: usize) -> usize {
-        self.submit_with(prompt, SubmitOptions::new(max_new_tokens))
-    }
-
-    /// Queues a sequence that additionally finishes (without emitting it) when it
-    /// generates `stop_token`. Returns the sequence id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prompt is empty.
-    #[deprecated(since = "0.1.0", note = "use `submit_with` with a `SubmitOptions` builder")]
-    pub fn submit_with_stop(&mut self, prompt: &[usize], max_new_tokens: usize, stop_token: Option<usize>) -> usize {
-        self.submit_with(prompt, SubmitOptions::new(max_new_tokens).stop_token(stop_token))
-    }
-
-    /// Queues a sequence with an explicit [`Sampling`] configuration. Returns the
-    /// sequence id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prompt is empty.
-    #[deprecated(since = "0.1.0", note = "use `submit_with` with a `SubmitOptions` builder")]
-    pub fn submit_with_sampling(
-        &mut self,
-        prompt: &[usize],
-        max_new_tokens: usize,
-        stop_token: Option<usize>,
-        sampling: Sampling,
-    ) -> usize {
-        self.submit_with(prompt, SubmitOptions::new(max_new_tokens).stop_token(stop_token).sampling(sampling))
-    }
-
     /// The sequences in submission order.
     #[must_use]
     pub fn sequences(&self) -> &[Sequence] {
@@ -1029,11 +968,10 @@ impl<'m> ServingEngine<'m> {
             self.drive(None, &mut stats, admit, max_passes);
         } else {
             let model = self.model;
-            let mode = self.mode;
             let num_threads = self.num_threads;
             let telemetry = Arc::clone(&self.telemetry);
             std::thread::scope(|scope| {
-                let mut workers = WorkerPool::spawn(scope, model, mode, num_threads, &telemetry);
+                let mut workers = WorkerPool::spawn(scope, model, num_threads, &telemetry);
                 self.drive(Some(&mut workers), &mut stats, admit, max_passes);
                 // Dropping the pool's job senders here ends every worker's receive
                 // loop (including any replaced, already-disconnected incarnations);
@@ -1061,7 +999,6 @@ impl<'m> ServingEngine<'m> {
         max_passes: usize,
     ) {
         let model = self.model;
-        let mode = self.mode;
         let policy = self.recovery.unwrap_or_default();
         // Checkpointing costs page-buffer copies, so it only runs when failure is in
         // play: an installed fault plan or an explicitly requested recovery policy.
@@ -1105,7 +1042,7 @@ impl<'m> ServingEngine<'m> {
                         let mut seq = std::mem::replace(&mut self.sequences[idx], Sequence::parked());
                         let caught = catch_unwind(AssertUnwindSafe(|| {
                             act_injected_fault(fault);
-                            seq.step(model, mode, &mut coordinator_scratch, &mut rec)
+                            seq.step(model, &mut coordinator_scratch, &mut rec)
                         }));
                         self.sequences[idx] = seq;
                         match caught {
@@ -1451,14 +1388,6 @@ impl<'m> ServingEngine<'m> {
             theoretical_bytes_fp32: theoretical(QuantScheme::Fp32),
             resident_bytes: stats.peak_resident,
             weight_bytes: self.model.weight_bytes(),
-            cache_materializations: self
-                .sequences
-                .iter()
-                .map(|s| match &s.cache {
-                    SeqCache::F32(c) => c.materializations(),
-                    _ => 0,
-                })
-                .sum(),
             latency: LatencySummary {
                 ttft: QuantileSummary::from_histogram(&ttft),
                 tpot: QuantileSummary::from_histogram(&stats.tpot),
@@ -1876,7 +1805,6 @@ fn act_injected_fault(fault: Option<InjectedFault>) {
 struct WorkerPool<'scope, 'env> {
     scope: &'scope std::thread::Scope<'scope, 'env>,
     model: &'env TransformerModel,
-    mode: DecodePath,
     telemetry: Arc<Telemetry>,
     jobs: Vec<mpsc::Sender<Job>>,
     /// One result channel per worker: if a worker dies without replying, the
@@ -1889,14 +1817,12 @@ impl<'scope, 'env> WorkerPool<'scope, 'env> {
     fn spawn(
         scope: &'scope std::thread::Scope<'scope, 'env>,
         model: &'env TransformerModel,
-        mode: DecodePath,
         num_threads: usize,
         telemetry: &Arc<Telemetry>,
     ) -> WorkerPool<'scope, 'env> {
         let mut pool = WorkerPool {
             scope,
             model,
-            mode,
             telemetry: Arc::clone(telemetry),
             jobs: Vec::with_capacity(num_threads),
             results: Vec::with_capacity(num_threads),
@@ -1917,7 +1843,6 @@ impl<'scope, 'env> WorkerPool<'scope, 'env> {
         let (result_tx, result_rx) = mpsc::channel();
         let hub = Arc::clone(&self.telemetry);
         let model = self.model;
-        let mode = self.mode;
         self.scope.spawn(move || {
             let mut scratch = PagedScratch::default();
             // Worker lanes are 1-based; lane 0 is the coordinator. The shard merges
@@ -1929,7 +1854,7 @@ impl<'scope, 'env> WorkerPool<'scope, 'env> {
                 // and the coordinator discards that cache anyway.
                 let caught = catch_unwind(AssertUnwindSafe(|| {
                     act_injected_fault(fault);
-                    seq.step(model, mode, &mut scratch, &mut rec)
+                    seq.step(model, &mut scratch, &mut rec)
                 }));
                 let reply = match caught {
                     Ok(result) => WorkerReply::Done(StepOutcome { index, seq, result }),
@@ -2043,23 +1968,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_invariant_holds_for_whole_batch() {
-        let model = model(ModelQuantConfig::BASELINE);
-        let mut engine = ServingEngine::new(&model);
-        for p in 0..4 {
-            engine.submit_with(&[p + 1, p + 2], SubmitOptions::new(8));
-        }
-        let report = engine.run();
-        assert_eq!(report.cache_materializations, 0);
-        // The clone-based mode, by contrast, materializes twice per layer per forward.
-        let mut legacy = ServingEngine::with_path(&model, DecodePath::SeedClone);
-        legacy.submit_with(&[1, 2], SubmitOptions::new(2));
-        let legacy_report = legacy.run();
-        assert!(legacy_report.cache_materializations > 0);
-        assert_eq!(legacy.sequences()[0].generated, engine.sequences()[0].generated[..2]);
-    }
-
-    #[test]
     fn run_is_idempotent_once_finished() {
         let model = model(ModelQuantConfig::BASELINE);
         let mut engine = ServingEngine::new(&model);
@@ -2133,7 +2041,6 @@ mod tests {
         for (a, b) in flat.sequences().iter().zip(paged.sequences()) {
             assert_eq!(a.generated, b.generated, "sequence {} diverges across backends", a.id);
         }
-        assert_eq!(paged_report.cache_materializations, 0);
         // The paged backend's measured bytes sit near the scheme width, well below f32
         // even with these short sequences half-filling their 16-position pages (the
         // integration tests pin the >=4x criterion at realistic lengths).
@@ -2282,27 +2189,6 @@ mod tests {
         assert_eq!(opts.priority, 2);
         assert_eq!(opts.arrival_pass, 5);
         assert!(!opts.without_prefix_sharing().share_prefix);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_submit_wrappers_match_submit_with() {
-        let model = model(ModelQuantConfig::BASELINE);
-        let sampling = Sampling::top_k(3, 0.8, 11);
-        let mut old = ServingEngine::new(&model);
-        old.submit(&[1, 2, 3], 5);
-        old.submit_with_stop(&[4, 5], 5, Some(9));
-        old.submit_with_sampling(&[6, 7], 5, None, sampling);
-        old.run();
-        let mut new = ServingEngine::new(&model);
-        new.submit_with(&[1, 2, 3], SubmitOptions::new(5));
-        new.submit_with(&[4, 5], SubmitOptions::new(5).stop_token(9));
-        new.submit_with(&[6, 7], SubmitOptions::new(5).sampling(sampling));
-        new.run();
-        for (a, b) in old.sequences().iter().zip(new.sequences()) {
-            assert_eq!(a.generated, b.generated, "wrapper diverges from submit_with for sequence {}", a.id);
-            assert_eq!(a.finish_reason(), b.finish_reason());
-        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn render(label: &str, model: &TransformerModel, new_tokens: usize) -> Vec<Strin
             let mut tokens = Vec::with_capacity(new_tokens);
             for _ in 0..new_tokens {
                 tokens.push(next.to_string());
-                next = argmax(&model.decode_step(next, &mut cache));
+                next = argmax(model.forward(&[next], &mut cache, &mut ()).row(0));
             }
             format!("{label} prompt{i} logits {digest:016x} tokens {}", tokens.join(" "))
         })

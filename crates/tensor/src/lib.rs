@@ -28,10 +28,8 @@ pub mod matrix;
 pub mod packed;
 pub mod quantized;
 pub mod synth;
-pub mod view;
 
 pub use matrix::Matrix;
 pub use packed::PackedMatrix;
 pub use quantized::QuantizedLinear;
 pub use synth::{ActivationProfile, OutlierSpec};
-pub use view::MatrixView;
