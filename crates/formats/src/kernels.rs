@@ -658,13 +658,13 @@ pub fn bm_decode_table(element: ElementType) -> &'static [f32; 256] {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Mutex;
 
     /// Serializes tests that flip the global force-scalar switch; concurrent kernel
     /// *outputs* are identical either way, but backend-identity assertions are not.
-    static FORCE_LOCK: Mutex<()> = Mutex::new(());
+    pub(crate) static FORCE_LOCK: Mutex<()> = Mutex::new(());
 
     fn sample_codes(n: usize, bits: u32) -> Vec<u8> {
         let mask = ((1u16 << bits) - 1) as u8;

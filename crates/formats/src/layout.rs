@@ -598,10 +598,15 @@ mod tests {
                 codec.unpack_row_into(&packed, &mut expected);
                 let mut walked = vec![f32::NAN; len];
                 let mut starts = Vec::new();
-                let fused = codec.walk_row_blocks(&packed, len, |start, vals| {
-                    starts.push(start);
-                    walked[start..start + vals.len()].copy_from_slice(vals);
-                });
+                // Whether the fused walk engages follows the global force-scalar switch.
+                let fused = {
+                    let _guard =
+                        crate::kernels::tests::FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                    codec.walk_row_blocks(&packed, len, |start, vals| {
+                        starts.push(start);
+                        walked[start..start + vals.len()].copy_from_slice(vals);
+                    })
+                };
                 assert!(fused, "{scheme} len {len} should take the fused walk");
                 let bits: Vec<u32> = walked.iter().map(|v| v.to_bits()).collect();
                 let expected_bits: Vec<u32> = expected.iter().map(|v| v.to_bits()).collect();

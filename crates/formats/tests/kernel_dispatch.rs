@@ -120,10 +120,14 @@ proptest! {
         prop_assert_eq!(&auto_out, &expected, "{} len {}", scheme, len);
 
         // The fused block walk must reproduce the same bits, in ascending block order.
+        // Whether it engages follows the global switch, so it runs under the lock.
         let mut walked = vec![f32::NAN; len];
-        let fused = codec.walk_row_blocks(&auto_packed, len, |start, vals| {
-            walked[start..start + vals.len()].copy_from_slice(vals);
-        });
+        let fused = {
+            let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            codec.walk_row_blocks(&auto_packed, len, |start, vals| {
+                walked[start..start + vals.len()].copy_from_slice(vals);
+            })
+        };
         prop_assert!(fused);
         prop_assert_eq!(
             walked.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
