@@ -4,8 +4,8 @@
 //! `decode_per_token/view` decodes on top of an `f32` [`KvCache`] of 64/256/512
 //! positions through [`TransformerModel::forward`]: cached keys/values are read through
 //! borrowed row slices and every projection multiplies against weights direct-cast once.
-//! The serving groups run the batched engine on the same model, at one thread and
-//! across a thread-count sweep.
+//! The serving groups run the batched engine on the same model: a four-sequence batch
+//! and a thread-count sweep.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use mx_llm::model::argmax;
