@@ -535,6 +535,59 @@ mod tests {
         assert!(lb.mse(&l4p) < lb.mse(&l4), "MX+ logits must be closer to the baseline");
     }
 
+    /// Renders greedy decoding as the lines of `tests/golden/seed_decode_digests.txt`: an
+    /// FNV-1a digest of the logit bits of every forward call, then one of the cache rows.
+    fn seed_digest_lines(label: &str, model: &TransformerModel, prompt: &[usize], steps: usize) -> Vec<String> {
+        fn fnv1a(mut hash: u64, values: &[f32]) -> u64 {
+            for byte in values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+            hash
+        }
+        const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut cache = model.new_cache();
+        let logits = model.forward(prompt, &mut cache, &mut ());
+        let mut lines = vec![format!("{label} prefill {:016x}", fnv1a(BASIS, logits.data()))];
+        let mut next = argmax(logits.row(logits.rows() - 1));
+        for step in 0..steps {
+            let logits = model.forward(&[next], &mut cache, &mut ());
+            lines.push(format!("{label} step{step} {:016x}", fnv1a(BASIS, logits.row(0))));
+            next = argmax(logits.row(0));
+        }
+        let mut digest = BASIS;
+        for l in 0..cache.num_layers() {
+            let layer = cache.layer(l);
+            for t in 0..layer.len() {
+                digest = fnv1a(fnv1a(digest, layer.key_row(t)), layer.value_row(t));
+            }
+        }
+        lines.push(format!("{label} cache {digest:016x}"));
+        lines
+    }
+
+    #[test]
+    fn view_and_materialize_modes_are_bit_identical() {
+        // The zero-copy attention path must reproduce the clone-based seed path exactly,
+        // not approximately — same dot products, same softmax inputs, same accumulation
+        // order. The seed path's logits at every step and its final cache contents are
+        // pinned as digests in the fixture, recorded while that path still existed.
+        const FIXTURE: &str = include_str!("../tests/golden/seed_decode_digests.txt");
+        for (label, quant) in [
+            ("tiny7/BF16", ModelQuantConfig::BASELINE),
+            ("tiny7/MXFP4", ModelQuantConfig::uniform(QuantScheme::mxfp4())),
+            ("tiny7/A-MXFP4+", ModelQuantConfig::a_mxfp4_plus()),
+        ] {
+            let prefix = format!("{label} ");
+            let want: Vec<&str> = FIXTURE.lines().filter(|l| l.starts_with(&prefix)).collect();
+            assert_eq!(want.len(), 10, "fixture rows for {label}");
+            let got = seed_digest_lines(label, &tiny_model(quant), &[3, 1, 4, 1, 5, 9, 2, 6], 8);
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g, w, "diverges from the seed path under {}", quant.name());
+            }
+        }
+    }
+
     #[test]
     fn paged_backend_is_bit_identical_to_f32_zero_copy() {
         // The packed-page backend must reproduce the f32 backend exactly — same logits at
